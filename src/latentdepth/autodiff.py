@@ -1,9 +1,9 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-Only the operator set the depth networks need: conv2d, batch norm, relu,
-add, factor-2 bilinear upsampling, forward-difference spatial gradients,
-and scalar reductions. All arithmetic is float64; no broadcasting anywhere,
-shape agreement is always explicit.
+Only the operator set the depth networks need: conv2d, per-sample
+normalization, relu, add, factor-2 bilinear upsampling, forward-difference
+spatial gradients, and scalar reductions. All arithmetic is float64; no
+broadcasting anywhere, shape agreement is always explicit.
 """
 
 import numpy as np
@@ -271,50 +271,33 @@ def conv2d(x, weight, bias, stride=1):
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# per-sample normalization
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, eps,
-                 training, momentum=0.1, update_stats=True):
-    """Per-channel batch norm; x is CxHxW (batch of one) or NxCxHxW.
+def batch_norm2d(x, gamma, beta, eps):
+    """Per-channel normalization of one CxHxW sample by its own statistics
+    (instance norm), then scale by gamma and shift by beta.
 
-    Train mode normalizes by batch statistics and, unless update_stats is
-    off, updates running_mean / running_var in place; eval mode uses the
-    running stats.
+    A channel with a single element (a 1x1 map) has no usable statistics
+    and is normalized with mean 0 and variance 1: x / sqrt(1 + eps).
     """
     if eps <= 0:
         raise ValueError("batch_norm2d: eps must be positive")
-    if x.data.ndim == 3:
-        c = x.shape[0]
-        axes = (1, 2)
-        bshape = (c, 1, 1)
-    elif x.data.ndim == 4:
-        c = x.shape[1]
-        axes = (0, 2, 3)
-        bshape = (1, c, 1, 1)
-    else:
-        raise ShapeMismatchError("batch_norm2d: input must be CxHxW or "
-                                 "NxCxHxW, got %s" % (x.shape,))
+    if x.data.ndim != 3 or x.data.size == 0:
+        raise ShapeMismatchError("batch_norm2d: input must be a nonempty "
+                                 "CxHxW, got %s" % (x.shape,))
+    c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatchError("batch_norm2d: gamma/beta must be (%d,)" % c)
 
-    m = x.data.size // c
-    if training:
-        if m < 2:
-            raise ValueError("batch_norm2d: train mode needs at least 2 "
-                             "elements per channel, got %d" % m)
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        if update_stats:
-            running_mean *= (1.0 - momentum)
-            running_mean += momentum * mean
-            running_var *= (1.0 - momentum)
-            running_var += momentum * var
+    axes = (1, 2)
+    bshape = (c, 1, 1)
+    m = h * w
+    if m == 1:
+        mean, var = np.zeros(c), np.ones(c)
     else:
-        mean = np.asarray(running_mean, dtype=DTYPE)
-        var = np.asarray(running_var, dtype=DTYPE)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
+        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+    xhat = (x.data - mean.reshape(bshape)) * inv_std
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
     def bwd(g):
@@ -324,13 +307,12 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, eps,
             _accum(beta, g.sum(axis=axes))
         if x.requires_grad:
             dxhat = g * gamma.data.reshape(bshape)
-            if training:
+            if m == 1:  # fixed statistics: no gradient through them
+                dx = dxhat * inv_std
+            else:
                 s1 = dxhat.sum(axis=axes).reshape(bshape)
                 s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-                dx = (inv_std.reshape(bshape) / m) * \
-                    (m * dxhat - s1 - xhat * s2)
-            else:
-                dx = dxhat * inv_std.reshape(bshape)
+                dx = (inv_std / m) * (m * dxhat - s1 - xhat * s2)
             _accum(x, dx)
 
     return _result(out, (x, gamma, beta), bwd)

@@ -31,6 +31,14 @@ def _parse_size(text):
     return h, w
 
 
+def _parse_layers(text):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise UsageError("--layers must be comma-separated integers, got %r"
+                         % text)
+
+
 def _write_json(path, payload):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -112,7 +120,6 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", default="tiny", choices=["tiny"])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report")
@@ -179,8 +186,7 @@ def _cmd_train(args, stage):
         weights = losses.LossWeights(data=args.w_data, latent=args.w_latent,
                                      grad_image=args.w_grad_image,
                                      grad_feature=args.w_grad_feature)
-        layers = tuple(int(t) for t in args.layers.split(",")) \
-            if args.layers else None
+        layers = _parse_layers(args.layers) if args.layers else None
     else:
         weights = losses.LossWeights()
         layers = None
@@ -238,7 +244,6 @@ def _cmd_predict(args):
     if rgb.shape != expect:
         raise ShapeMismatchError("input image is %s but model expects %s"
                                  % (rgb.shape, expect))
-    model.eval()
     with no_grad():
         pred, _ = model.forward(Tensor(rgb))
     mm = np.clip(np.rint(pred.data[0] * 1000.0), 0, 65535).astype(np.uint16)

@@ -205,10 +205,17 @@ class ManifestRecord:
 def load_manifest(path, check_paths=True):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise DataError("manifest %s has no records list" % path)
     base = os.path.dirname(os.path.abspath(path))
     records = []
     seen_rgb = set()
     for rec in doc["records"]:
+        if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(k), str)
+                for k in ("rgb", "depth", "scene", "split")):
+            raise DataError("manifest record %r needs rgb, depth, scene and "
+                            "split strings" % (rec,))
         rgb = rec["rgb"] if os.path.isabs(rec["rgb"]) \
             else os.path.join(base, rec["rgb"])
         depth = rec["depth"] if os.path.isabs(rec["depth"]) \

@@ -1,6 +1,7 @@
 """Training objective: masked L1 data term, latent feature-matching term,
 and gradient-consistency terms at image and feature level."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,9 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.data, self.latent, self.grad_image, self.grad_feature)
-        if any(v < 0 for v in vals):
-            raise ValueError("LossWeights: weights must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ValueError("LossWeights: weights must be finite and "
+                             "nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("LossWeights: at least one weight must be "
                              "positive")

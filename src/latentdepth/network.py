@@ -6,6 +6,7 @@ channel) whose encoder features define the latent-space losses.
 """
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -15,6 +16,8 @@ from .autodiff import Tensor, ShapeMismatchError
 
 ENCODER_KERNELS = (9, 7, 5, 3)
 BOTTLENECK_KERNEL = 3
+# feature taps: the four encoder stage outputs plus the deepest latent
+N_TAPS = len(ENCODER_KERNELS) + 1
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class NetworkConfig:
     input_w: int = 240
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in asdict(self).values()):
+            raise ValueError("NetworkConfig: fields must be integers")
         if self.input_channels < 1 or self.output_channels < 1:
             raise ValueError("NetworkConfig: channel counts must be positive")
         if self.base_width < 1 or self.bottleneck_blocks < 0:
@@ -108,32 +113,24 @@ class Conv:
 
 
 class BatchNorm:
+    """Per-sample normalization with a learned per-channel affine map
+    (see ad.batch_norm2d)."""
+
     def __init__(self, channels, eps=1e-5, gamma_init=1.0):
         self.gamma = Tensor(np.full(channels, gamma_init),
                             requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
         self.eps = eps
 
-    def __call__(self, x, training, update_stats=True):
-        # a single spatial element per channel has no usable batch
-        # statistics (1x1 latent at 16x16 inputs); fall back to the
-        # running stats there
-        if training and x.size // self.gamma.size < 2:
-            training = False
-        return ad.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                               self.running_var, self.eps, training,
-                               update_stats=update_stats)
+    def __call__(self, x):
+        return ad.batch_norm2d(x, self.gamma, self.beta, self.eps)
 
     def params(self):
         return [self.gamma, self.beta]
 
     def state(self, prefix):
         return [(prefix + ".gamma", self.gamma.data),
-                (prefix + ".beta", self.beta.data),
-                (prefix + ".running_mean", self.running_mean),
-                (prefix + ".running_var", self.running_var)]
+                (prefix + ".beta", self.beta.data)]
 
 
 class ResBlock:
@@ -151,13 +148,13 @@ class ResBlock:
         self.conv2 = Conv(cspec, branch_rng)
         self.bn2 = BatchNorm(c, gamma_init=gamma_init)
 
-    def __call__(self, x, training, update_stats=True):
+    def __call__(self, x):
         if x.shape[0] != self.spec.channels:
             raise ShapeMismatchError(
                 "res_block: input has %d channels, block expects %d"
                 % (x.shape[0], self.spec.channels))
-        h = ad.relu(self.bn1(self.conv1(x), training, update_stats))
-        h = self.bn2(self.conv2(h), training, update_stats)
+        h = ad.relu(self.bn1(self.conv1(x)))
+        h = self.bn2(self.conv2(h))
         return ad.add(x, h)
 
     def params(self):
@@ -176,8 +173,8 @@ class _ConvBnRelu:
         self.conv = Conv(spec, rng)
         self.bn = BatchNorm(spec.out_channels)
 
-    def __call__(self, x, training, update_stats=True):
-        return ad.relu(self.bn(self.conv(x), training, update_stats))
+    def __call__(self, x):
+        return ad.relu(self.bn(self.conv(x)))
 
     def params(self):
         return self.conv.params() + self.bn.params()
@@ -196,8 +193,6 @@ class DepthModel:
 
     def __init__(self, config, seed=0, zero_branch=False):
         self.config = config
-        self.training = True
-        self.update_stats = True
         self.feature_taps = None
         rng = np.random.default_rng(seed)
         widths = config.stage_widths
@@ -237,19 +232,7 @@ class DepthModel:
         self.out_conv = Conv(ConvSpec(config.output_channels, widths[0],
                                       9, 9, 1), rng)
 
-    # -- mode / parameter plumbing ---------------------------------------
-
-    def train(self):
-        self.training = True
-
-    def eval(self):
-        self.training = False
-
-    def _mode(self):
-        # normalization always uses the current sample's statistics
-        # (running stats are only recorded, and only while training);
-        # per-sample stats keep train and inference behavior identical
-        return True, (self.training and self.update_stats)
+    # -- parameter plumbing ------------------------------------------------
 
     def _modules(self):
         mods = []
@@ -288,7 +271,6 @@ class DepthModel:
     def freeze(self):
         for p in self.parameters():
             p.requires_grad = False
-        self.eval()
 
     # -- forward passes ----------------------------------------------------
 
@@ -303,19 +285,17 @@ class DepthModel:
         self._check_input(x)
         taps = []
         h = x
-        training, update = self._mode()
         for head, block in self.enc_stages:
-            h = block(head(h, training, update), training, update)
+            h = block(head(h))
             taps.append(h)
-        latent = self.enc_latent(h, training, update)
+        latent = self.enc_latent(h)
         taps.append(latent)
         return latent, taps
 
     def bottleneck_forward(self, latent):
-        training, update = self._mode()
         h = latent
         for block in self.bottleneck:
-            h = block(h, training, update)
+            h = block(h)
         return h
 
     def decoder_forward(self, latent):
@@ -323,11 +303,9 @@ class DepthModel:
         if latent.shape != expect:
             raise ShapeMismatchError("decoder input shape %s, expected %s"
                                      % (latent.shape, expect))
-        training, update = self._mode()
         h = latent
         for head, block in self.dec_stages:
-            h = block(head(ad.bilinear_upsample_x2(h), training, update),
-                      training, update)
+            h = block(head(ad.bilinear_upsample_x2(h)))
         return self.out_conv(h)
 
     def forward(self, x):
@@ -367,18 +345,12 @@ def extract_features(guided, y, layers=None):
     """Feature taps of the guided network at y; gradients flow through
     the network into y but never into its (frozen) parameters.
 
-    Normalization layers use the statistics of y itself (train-mode
-    statistics with the stored running stats left untouched), which keeps
+    Normalization layers use the statistics of y itself, which keeps
     feature magnitudes bounded whatever the prediction looks like."""
     if layers is not None and len(layers) == 0:
         raise ValueError("extract_features: empty layer selection")
-    saved = (guided.training, guided.update_stats)
-    guided.update_stats = False
-    try:
-        latent, taps = guided.encoder_forward(y)
-        taps[-1] = guided.bottleneck_forward(latent)
-    finally:
-        guided.training, guided.update_stats = saved
+    latent, taps = guided.encoder_forward(y)
+    taps[-1] = guided.bottleneck_forward(latent)
     if layers is None:
         return taps
     return [taps[j] for j in sorted(layers)]
@@ -389,21 +361,28 @@ def make_extractor(guided, layers=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint i/o: magic + JSON header + raw little-endian float64 payload
+# checkpoint i/o: magic + 8-byte header length + JSON header + raw
+# little-endian float64 payload. Version 2 holds gamma and beta for each
+# normalization layer; version 1 also held running statistics.
 
 CKPT_MAGIC = b"LDEPTHCKPT1\n"
+CKPT_VERSION = 2
 
 
 class CheckpointError(ValueError):
     pass
 
 
+def _array_table(items):
+    return [{"name": n, "shape": list(a.shape)} for n, a in items]
+
+
 def save_checkpoint(model, path):
     items = model.state_items()
     header = {
-        "version": 1,
+        "version": CKPT_VERSION,
         "config": asdict(model.config),
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in items],
+        "arrays": _array_table(items),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -414,27 +393,46 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_header(fh, size):
+    hlen = int.from_bytes(fh.read(8), "little")
+    if hlen > size - fh.tell():
+        raise CheckpointError("checkpoint header length %d exceeds the file"
+                              % hlen)
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError("corrupt checkpoint header") from exc
+    if not isinstance(header, dict) or \
+            not {"version", "config", "arrays"} <= header.keys():
+        raise CheckpointError("checkpoint header must be a JSON object with "
+                              "version, config and arrays")
+    if header["version"] != CKPT_VERSION:
+        raise CheckpointError("checkpoint version %r is not supported "
+                              "(expected %d)"
+                              % (header["version"], CKPT_VERSION))
+    return header
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise CheckpointError("not a checkpoint file: %s" % path)
-        hlen = int.from_bytes(fh.read(8), "little")
+        header = _read_header(fh, size)
         try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError("corrupt checkpoint header") from exc
-        config = NetworkConfig(**header["config"])
+            config = NetworkConfig(**header["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError("bad checkpoint config: %s" % exc) from exc
         model = DepthModel(config, seed=0)
         items = model.state_items()
-        if len(items) != len(header["arrays"]):
-            raise CheckpointError("checkpoint array count mismatch")
-        for (name, arr), meta in zip(items, header["arrays"]):
-            if list(arr.shape) != meta["shape"] or name != meta["name"]:
-                raise CheckpointError("checkpoint entry %r does not match "
-                                      "model structure" % meta["name"])
+        if header["arrays"] != _array_table(items):
+            raise CheckpointError("checkpoint arrays do not match the model "
+                                  "structure of its config")
+        payload = 8 * sum(arr.size for _, arr in items)
+        if size - fh.tell() != payload:
+            raise CheckpointError("checkpoint payload is %d bytes, expected "
+                                  "%d" % (size - fh.tell(), payload))
+        for _, arr in items:
             raw = fh.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
-                raise CheckpointError("truncated checkpoint payload")
             arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
     return model

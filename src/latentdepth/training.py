@@ -2,6 +2,7 @@
 reconstruction, then a color-to-depth network against the full combined
 objective with the guide frozen. Plain SGD with classical momentum."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +11,7 @@ from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import ShapeMismatchError, Tensor
 from .losses import LossWeights
-from .network import DepthModel, NetworkConfig, make_extractor, \
+from .network import N_TAPS, DepthModel, NetworkConfig, make_extractor, \
     save_checkpoint
 
 
@@ -40,8 +41,17 @@ class TrainConfig:
             raise ValueError("TrainConfig: bad batch size or step count")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("TrainConfig: momentum must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("TrainConfig: learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and
+                self.learning_rate > 0):
+            raise ValueError("TrainConfig: learning rate must be positive "
+                             "and finite")
+        layers = self.latent_layers
+        if layers is not None and (
+                not layers or len(set(layers)) != len(layers) or
+                any(not 0 <= j < N_TAPS for j in layers)):
+            raise ValueError("TrainConfig: latent layers must be distinct "
+                             "tap indices in 0..%d, got %s"
+                             % (N_TAPS - 1, list(layers)))
 
 
 def sgd_step(param, grad, velocity, lr, momentum):
@@ -122,7 +132,6 @@ def train_guided(config, samples):
     if config.stage != "guided":
         raise ValueError("train_guided: config.stage must be 'guided'")
     model = DepthModel(config.net, seed=config.seed)
-    model.train()
 
     def batch_loss(sample):
         x = Tensor(sample.depth)
@@ -151,7 +160,6 @@ def train_color(config, samples, guided):
                                     config.net.input_h, config.net.input_w))
     guided.freeze()
     model = DepthModel(config.net, seed=config.seed)
-    model.train()
     extract = make_extractor(guided, config.latent_layers)
     need_features = config.weights.latent > 0 or \
         config.weights.grad_feature > 0
@@ -183,8 +191,6 @@ def evaluate(model, samples):
     """Pooled RMSE of model predictions over an evaluation set."""
     if not samples:
         raise TrainingError("empty evaluation dataset")
-    was_training = model.training
-    model.eval()
     pairs = []
     with ad.no_grad():
         for sample in samples:
@@ -192,7 +198,6 @@ def evaluate(model, samples):
                                            model.config.input_channels == 3
                                            else sample.depth))
             pairs.append((pred.data, sample.depth, sample.mask))
-    model.training = was_training
     return metrics.rmse(pairs)
 
 

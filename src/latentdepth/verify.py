@@ -43,27 +43,28 @@ def run_gradient_checks(seed=0, fault=None):
     run("conv2d/bias",
         lambda t: ad.reduce(ad.conv2d(Tensor(x), Tensor(w), t, 2), "l2sq"), b)
 
-    # batch norm, train and eval
+    # per-sample normalization, and the one-element rule on a Cx1x1 input
     bn_x = rng.standard_normal((3, 4, 4)) + 0.5
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3) * 0.2
-    rm, rv = rng.standard_normal(3) * 0.1, rng.uniform(0.5, 1.5, 3)
+    single_x = rng.standard_normal((3, 1, 1))
+    single_w = rng.uniform(0.5, 1.5, (3, 1, 1))
     # random-weighted sum: l2sq of a normalized output is nearly constant
     # in the input, which would leave nothing for the check to see
     probe_w = rng.standard_normal((3, 4, 4))
 
-    def bn(t, g, bt, training):
-        out = ad.batch_norm2d(t, g, bt, rm.copy(), rv.copy(), 1e-5, training)
-        return ad.reduce(ad.mul_const(out, probe_w), "sum")
+    def bn(t, g, bt, weight=probe_w):
+        out = ad.batch_norm2d(t, g, bt, 1e-5)
+        return ad.reduce(ad.mul_const(out, weight), "sum")
 
-    run("batch_norm2d/train/input",
-        lambda t: bn(t, Tensor(gamma), Tensor(beta), True), bn_x)
-    run("batch_norm2d/train/gamma",
-        lambda t: bn(Tensor(bn_x), t, Tensor(beta), True), gamma)
-    run("batch_norm2d/train/beta",
-        lambda t: bn(Tensor(bn_x), Tensor(gamma), t, True), beta)
-    run("batch_norm2d/eval/input",
-        lambda t: bn(t, Tensor(gamma), Tensor(beta), False), bn_x)
+    run("batch_norm2d/input",
+        lambda t: bn(t, Tensor(gamma), Tensor(beta)), bn_x)
+    run("batch_norm2d/gamma",
+        lambda t: bn(Tensor(bn_x), t, Tensor(beta)), gamma)
+    run("batch_norm2d/beta",
+        lambda t: bn(Tensor(bn_x), Tensor(gamma), t), beta)
+    run("batch_norm2d/single/input",
+        lambda t: bn(t, Tensor(gamma), Tensor(beta), single_w), single_x)
 
     # relu (inputs bounded away from the kink)
     run("relu", lambda t: ad.reduce(ad.relu(t), "l2sq"),
@@ -92,7 +93,7 @@ def run_gradient_checks(seed=0, fault=None):
 
     # residual block
     block = ResBlock(ResBlockSpec(2, 3), rng=np.random.default_rng(seed + 1))
-    run("res_block", lambda t: ad.reduce(block(t, True), "l2sq"),
+    run("res_block", lambda t: ad.reduce(block(t), "l2sq"),
         rng.standard_normal((2, 4, 4)))
 
     # composed objective with a tiny frozen guided network

@@ -166,7 +166,7 @@ def test_criterion_5_resblock_identity():
     n_exact = 0
     for block in blocks:
         x = rng.standard_normal((block.spec.channels, 8, 8))
-        out = block(Tensor(x), training=True)
+        out = block(Tensor(x))
         n_exact += int(np.array_equal(out.data, x))
     _verdict(5, n_exact == len(blocks),
              "zero-branch residual blocks bit-exact identity: %d/%d"

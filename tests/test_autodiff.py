@@ -85,55 +85,44 @@ class TestConv2d:
 
 
 class TestBatchNorm:
-    def test_eval_identity(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 4, 4))
-        out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(3)),
-                              Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
-                              1e-12, training=False)
-        np.testing.assert_allclose(out.data, x, rtol=1e-9)
-
     def test_train_two_values(self):
         x = np.array([1.0, 3.0]).reshape(1, 1, 2)
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(1)),
-                              Tensor(np.zeros(1)), np.zeros(1), np.ones(1),
-                              1e-12, training=True)
+                              Tensor(np.zeros(1)), 1e-12)
         np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
 
     def test_constant_channel_zero_output(self):
         x = np.full((2, 3, 3), 7.0)
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(2)),
-                              Tensor(np.zeros(2)), np.zeros(2), np.ones(2),
-                              1e-5, training=True)
+                              Tensor(np.zeros(2)), 1e-5)
         np.testing.assert_array_equal(out.data, np.zeros_like(x))
 
-    def test_single_element_train_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            ad.batch_norm2d(Tensor(np.ones((1, 1, 1))), Tensor(np.ones(1)),
-                            Tensor(np.zeros(1)), np.zeros(1), np.ones(1),
-                            1e-5, training=True)
+    def test_single_element_rule(self):
+        # one element per channel: mean 0, variance 1, so x / sqrt(1 + eps)
+        x = Tensor(np.array([2.0, -3.0]).reshape(2, 1, 1), requires_grad=True)
+        gamma, beta = np.array([0.5, 2.0]), np.array([0.1, -0.2])
+        eps = 1e-5
+        out = ad.batch_norm2d(x, Tensor(gamma), Tensor(beta), eps)
+        scale = gamma / np.sqrt(1.0 + eps)
+        np.testing.assert_allclose(out.data.ravel(),
+                                   scale * x.data.ravel() + beta, rtol=1e-15)
+        # the fixed statistics pass no gradient: d out / d x = gamma / std
+        backward(ad.reduce(out, "sum"))
+        np.testing.assert_allclose(x.grad.ravel(), scale, rtol=1e-15)
 
-    def test_running_stats_update_and_freeze(self):
-        x = np.arange(8.0).reshape(1, 2, 4)
-        rm, rv = np.zeros(1), np.ones(1)
-        ad.batch_norm2d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                        rm, rv, 1e-5, training=True)
-        assert rm[0] != 0.0
-        rm2, rv2 = rm.copy(), rv.copy()
-        ad.batch_norm2d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                        rm2, rv2, 1e-5, training=True, update_stats=False)
-        np.testing.assert_array_equal(rm2, rm)
-        np.testing.assert_array_equal(rv2, rv)
-
-    def test_batched_4d(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 4, 4))
+    def test_per_sample_statistics(self):
+        x = np.random.default_rng(4).standard_normal((3, 4, 4)) * 5.0 + 2.0
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(3)),
-                              Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
-                              1e-10, training=True)
-        assert out.shape == x.shape
-        np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)),
-                                   np.zeros(3), atol=1e-12)
+                              Tensor(np.zeros(3)), 1e-10).data
+        np.testing.assert_allclose(out.mean(axis=(1, 2)), np.zeros(3),
+                                   atol=1e-12)
+        np.testing.assert_allclose(out.var(axis=(1, 2)), np.ones(3),
+                                   rtol=1e-8)
+
+    def test_batched_input_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="CxHxW"):
+            ad.batch_norm2d(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(3)),
+                            Tensor(np.zeros(3)), 1e-5)
 
 
 class TestElementwise:

@@ -6,6 +6,7 @@ import pytest
 
 from latentdepth import cli, data, verify
 from latentdepth.cli import main
+from latentdepth.network import CKPT_MAGIC, CheckpointError, load_checkpoint
 
 
 def _gen(tmp_path, count=6, size="16x16", per_scene=3, seed=1):
@@ -230,3 +231,131 @@ class TestParseSize:
             cli._parse_size("32")
         with pytest.raises(cli.UsageError):
             cli._parse_size("31x32")
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs -> exit codes, each ending in a one-line message
+
+def _ckpt_parts(path):
+    blob = open(path, "rb").read()
+    n = len(CKPT_MAGIC)
+    hlen = int.from_bytes(blob[n:n + 8], "little")
+    return json.loads(blob[n + 8:n + 8 + hlen]), blob[n + 8 + hlen:]
+
+
+def _write_ckpt(path, header, payload, hlen=None):
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    hlen = len(blob) if hlen is None else hlen
+    with open(path, "wb") as fh:
+        fh.write(CKPT_MAGIC + hlen.to_bytes(8, "little") + blob + payload)
+
+
+def _v1_layout(header, payload):
+    """The version-1 layout, which also stored running statistics after
+    each normalization layer's beta."""
+    arrays, chunks, pos = [], [], 0
+    for meta in header["arrays"]:
+        size = 8 * int(np.prod(meta["shape"]))
+        arrays.append(meta)
+        chunks.append(payload[pos:pos + size])
+        pos += size
+        if meta["name"].endswith(".beta"):
+            stem, c = meta["name"][:-len("beta")], meta["shape"][0]
+            arrays += [{"name": stem + "running_mean", "shape": [c]},
+                       {"name": stem + "running_var", "shape": [c]}]
+            chunks += [np.zeros(c).tobytes(), np.ones(c).tobytes()]
+    return dict(header, version=1, arrays=arrays), b"".join(chunks)
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# (header, payload) -> (header, payload, header length or None)
+CKPT_CASES = {
+    "header_not_object": lambda h, p: (sorted(h), p, None),
+    "no_version": lambda h, p: (_without(h, "version"), p, None),
+    "no_config": lambda h, p: (_without(h, "config"), p, None),
+    "no_arrays": lambda h, p: (_without(h, "arrays"), p, None),
+    "unknown_config_key": lambda h, p: (
+        dict(h, config=dict(h["config"], depth=3)), p, None),
+    "float_config_value": lambda h, p: (
+        dict(h, config=dict(h["config"], base_width=2.5)), p, None),
+    "header_length_past_end": lambda h, p: (h, p, 1 << 40),
+    "trailing_bytes": lambda h, p: (h, p + bytes(8), None),
+    "v1": lambda h, p: _v1_layout(h, p) + (None,),
+}
+
+# manifest document -> malformed document
+MANIFEST_CASES = {
+    "not_an_object": lambda doc: doc["records"],
+    "no_records": lambda doc: _without(doc, "records"),
+    "record_not_object": lambda doc: {"records": ["synth_0000.ppm"]},
+    "no_rgb": lambda doc: {"records": [_without(doc["records"][0], "rgb")]},
+    "no_depth": lambda doc: {
+        "records": [_without(doc["records"][0], "depth")]},
+    "no_scene": lambda doc: {
+        "records": [_without(doc["records"][0], "scene")]},
+    "no_split": lambda doc: {
+        "records": [_without(doc["records"][0], "split")]},
+    "number_path": lambda doc: {"records": [dict(doc["records"][0], rgb=1)]},
+}
+
+# training flags -> (stage, extra argv, exit code, message fragment)
+FLAG_CASES = {
+    "lr_nan": ("guided", ["--lr", "nan"], 2, "learning rate"),
+    "w_latent_nan": ("color", ["--w-latent", "nan"], 2, "finite"),
+    "layers_not_int": ("color", ["--layers", "a"], 1, "--layers"),
+    "layers_past_last_tap": ("color", ["--layers", "9"], 2, "tap indices"),
+    "layers_negative": ("color", ["--layers", "-1"], 2, "tap indices"),
+    "layers_duplicate": ("color", ["--layers", "1,1"], 2, "tap indices"),
+}
+
+TABLE = [("checkpoint", c, 2, "version 1" if c == "v1" else "checkpoint")
+         for c in CKPT_CASES] + \
+    [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
+    [("flags", c, code, frag)
+     for c, (_, _, code, frag) in FLAG_CASES.items()]
+
+
+def _bad_checkpoint(case, color_ckpt, tmp_path):
+    path = str(tmp_path / "bad.ckpt")
+    _write_ckpt(path, *CKPT_CASES[case](*_ckpt_parts(color_ckpt)))
+    return path
+
+
+def _argv(kind, case, pipeline, tmp_path):
+    _, manifest, guided_ckpt, color_ckpt = pipeline
+    out = ["--out", str(tmp_path / "o.json")]
+    if kind == "checkpoint":
+        return ["eval", "--model", _bad_checkpoint(case, color_ckpt, tmp_path),
+                "--manifest", manifest] + out
+    if kind == "manifest":
+        doc = MANIFEST_CASES[case](json.load(open(manifest)))
+        bad = str(tmp_path / "bad_manifest.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        return ["eval", "--model", color_ckpt, "--manifest", bad] + out
+    stage, extra, _, _ = FLAG_CASES[case]
+    argv = ["train-" + stage, "--manifest", manifest, "--steps", "1",
+            "--batch-size", "1", "--base-width", "2",
+            "--bottleneck-blocks", "1", "--size", "16x16",
+            "--ckpt-out", str(tmp_path / "t.ckpt")] + extra + out
+    return argv + (["--guided", guided_ckpt] if stage == "color" else [])
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind,case,code,fragment", TABLE,
+                             ids=["%s-%s" % row[:2] for row in TABLE])
+    def test_exit_code(self, kind, case, code, fragment, pipeline, tmp_path,
+                       capsys):
+        # an uncaught exception would escape main() and fail the test
+        assert main(_argv(kind, case, pipeline, tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+        assert fragment in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(CKPT_CASES))
+    def test_checkpoint_error_from_api(self, case, pipeline, tmp_path):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_bad_checkpoint(case, pipeline[3], tmp_path))

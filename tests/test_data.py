@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ class TestManifest:
         with pytest.raises(DataError, match="missing"):
             load_manifest(path)
         assert load_manifest(path, check_paths=False)[0].scene_id == "s"
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, {"records": {}}, {"records": [1]},
+        {"records": [{"rgb": "a.ppm", "depth": "a.pgm", "split": "train"}]},
+        {"records": [{"rgb": 1, "depth": "a.pgm", "scene": "s",
+                      "split": "train"}]},
+    ])
+    def test_schema_violation_rejected(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="manifest"):
+            load_manifest(str(path), check_paths=False)
 
 
 class TestRebalance:

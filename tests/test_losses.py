@@ -26,6 +26,13 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(data=-0.1)
 
+    @pytest.mark.parametrize("field", ["data", "latent", "grad_image",
+                                       "grad_feature"])
+    def test_non_finite_rejected(self, field):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                LossWeights(**{field: bad})
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(0.0, 0.0, 0.0, 0.0)

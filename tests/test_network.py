@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import latentdepth.autodiff as ad
 from latentdepth.autodiff import ShapeMismatchError, Tensor, backward, \
     finite_diff_check
-from latentdepth.network import (CheckpointError, ConvSpec, DepthModel,
-                                 NetworkConfig, ResBlock, ResBlockSpec,
-                                 extract_features, load_checkpoint,
-                                 make_extractor, save_checkpoint, shape_plan)
+from latentdepth.network import (CKPT_MAGIC, CheckpointError, ConvSpec,
+                                 DepthModel, NetworkConfig, ResBlock,
+                                 ResBlockSpec, extract_features,
+                                 load_checkpoint, make_extractor,
+                                 save_checkpoint, shape_plan)
 
 DESK = NetworkConfig(input_channels=3, output_channels=1, base_width=4,
                      bottleneck_blocks=2, input_h=32, input_w=32)
@@ -20,6 +23,10 @@ class TestConfigs:
     def test_dims_must_divide_16(self):
         with pytest.raises(ValueError, match="divisible by 16"):
             NetworkConfig(input_channels=3, input_h=30, input_w=32)
+
+    def test_non_integer_field_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            NetworkConfig(input_channels=3, base_width=2.5)
 
     def test_stage_widths_double(self):
         cfg = NetworkConfig(input_channels=3, base_width=64,
@@ -47,25 +54,24 @@ class TestResBlock:
         for channels, kernel in [(4, 3), (8, 5)]:
             block = ResBlock(ResBlockSpec(channels, kernel), zero_branch=True)
             x = rng.standard_normal((channels, 6, 6))
-            out = block(Tensor(x), training=True)
+            out = block(Tensor(x))
             np.testing.assert_array_equal(out.data, x)
 
     def test_shape_preserved(self):
         block = ResBlock(ResBlockSpec(64, 9), rng=np.random.default_rng(1))
-        out = block(Tensor(np.random.default_rng(2).random((64, 32, 32))),
-                    training=True)
+        out = block(Tensor(np.random.default_rng(2).random((64, 32, 32))))
         assert out.shape == (64, 32, 32)
 
     def test_channel_mismatch(self):
         block = ResBlock(ResBlockSpec(4, 3), rng=np.random.default_rng(1))
         with pytest.raises(ShapeMismatchError, match="channels"):
-            block(Tensor(np.zeros((3, 8, 8))), training=True)
+            block(Tensor(np.zeros((3, 8, 8))))
 
     def test_gradient_check(self):
         block = ResBlock(ResBlockSpec(2, 3), rng=np.random.default_rng(7))
         probe = np.random.default_rng(8).standard_normal((2, 4, 4))
         err = finite_diff_check(
-            lambda t: ad.reduce(block(t, training=True), "l2sq"),
+            lambda t: ad.reduce(block(t), "l2sq"),
             Tensor(probe))
         assert err < 1e-4
 
@@ -128,11 +134,11 @@ class TestModelProperties:
             c = block.spec.channels
             x = rng.standard_normal((c, 8, 8))
             np.testing.assert_array_equal(
-                block(Tensor(x), training=True).data, x)
+                block(Tensor(x)).data, x)
         for block in model.bottleneck:
             x = rng.standard_normal((block.spec.channels, 4, 4))
             np.testing.assert_array_equal(
-                block(Tensor(x), training=True).data, x)
+                block(Tensor(x)).data, x)
 
     def test_deterministic_forward(self):
         x = np.random.default_rng(5).random((3, 32, 32))
@@ -225,8 +231,9 @@ class TestExtractFeatures:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = DepthModel(DESK, seed=30)
-        # make running stats nontrivial before saving
-        model.forward(Tensor(np.random.default_rng(31).random((3, 32, 32))))
+        rng = np.random.default_rng(31)
+        for p in model.parameters():
+            p.data = p.data + rng.standard_normal(p.shape)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -235,6 +242,22 @@ class TestCheckpoint:
                                       loaded.state_items()):
             assert n1 == n2
             assert a1.tobytes() == a2.tobytes()
+
+    def test_version_2_holds_gamma_and_beta_per_norm_layer(self, tmp_path):
+        model = DepthModel(DESK, seed=34)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+        blob = open(path, "rb").read()
+        n = len(CKPT_MAGIC)
+        hlen = int.from_bytes(blob[n:n + 8], "little")
+        header = json.loads(blob[n + 8:n + 8 + hlen])
+        assert header["version"] == 2
+        names = [a["name"] for a in header["arrays"]]
+        n_norm = sum(nm.endswith(".gamma") for nm in names)
+        n_conv = sum(nm.endswith(".weight") for nm in names)
+        # 8 stages of head + 2-norm block, the latent head, 2 blocks of 2
+        assert n_norm == 8 * 3 + 1 + 2 * 2
+        assert len(names) == 2 * n_norm + 2 * n_conv
 
     def test_save_deterministic_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")

@@ -81,10 +81,18 @@ class TestTrainConfig:
             TrainConfig(stage="finetune", net=NET16, steps=1)
         with pytest.raises(ValueError, match="momentum"):
             TrainConfig(stage="guided", net=NET16, steps=1, momentum=1.0)
-        with pytest.raises(ValueError, match="learning rate"):
-            TrainConfig(stage="guided", net=NET16, steps=1, learning_rate=0)
+        for lr in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning rate"):
+                TrainConfig(stage="guided", net=NET16, steps=1,
+                            learning_rate=lr)
         with pytest.raises(ValueError):
             TrainConfig(stage="guided", net=NET16, steps=1, batch_size=0)
+
+    @pytest.mark.parametrize("layers", [(), (5,), (-1,), (0, 2, 0)])
+    def test_bad_latent_layers_rejected(self, layers):
+        with pytest.raises(ValueError, match="tap indices"):
+            TrainConfig(stage="color", net=NET16, steps=1,
+                        latent_layers=layers)
 
 
 class TestTrainGuided:
@@ -202,13 +210,11 @@ class TestEvaluate:
         assert result.n_images == 2
         assert result.n_valid_pixels == 2 * 16 * 16
 
-    def test_restores_training_flag_and_state(self):
+    def test_leaves_model_state_unchanged(self):
         model = DepthModel(NET16_RGB, seed=1)
-        model.train()
         samples = _samples(2, seed=12)
         before = [a.tobytes() for _, a in model.state_items()]
         evaluate(model, samples)
-        assert model.training is True
         assert [a.tobytes() for _, a in model.state_items()] == before
 
     def test_empty_set_rejected(self):
