@@ -59,9 +59,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -91,12 +88,6 @@ def _accum(t, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def check_finite(t, label="tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise ValueError("non-finite values in %s" % label)
-    return t
 
 
 def _require_same_shape(op, a, b):
@@ -319,15 +310,28 @@ def batch_norm2d(x, gamma, beta, eps):
 
 
 # ---------------------------------------------------------------------------
-# bilinear x2 upsampling (half-pixel-centered sampling)
+# bilinear resampling (half-pixel-centered sampling)
 
-def _up_indices(n):
-    dst = np.arange(2 * n)
-    src = np.clip((dst + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+def half_pixel_indices(n, tn):
+    """Resampling an axis of n pixels to tn pixels with half-pixel
+    centers: per output pixel, the lower source index i0, the upper one
+    i1 = min(i0 + 1, n - 1) and the weight of i1. Source positions clamp
+    to [0, n - 1]."""
+    src = np.clip((np.arange(tn) + 0.5) * n / tn - 0.5, 0, n - 1)
     i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n - 1)
-    frac = src - i0
-    return i0, i1, frac
+    return i0, np.minimum(i0 + 1, n - 1), src - i0
+
+
+def bilinear_resample(img, th, tw):
+    """Half-pixel-centered bilinear resample of a (C, H, W) array to
+    (C, th, tw): rows first, then columns."""
+    _, h, w = img.shape
+    ri0, ri1, rf = half_pixel_indices(h, th)
+    ci0, ci1, cf = half_pixel_indices(w, tw)
+    rf_ = rf[None, :, None]
+    cf_ = cf[None, None, :]
+    rows = img[:, ri0, :] * (1 - rf_) + img[:, ri1, :] * rf_
+    return rows[:, :, ci0] * (1 - cf_) + rows[:, :, ci1] * cf_
 
 
 def bilinear_upsample_x2(x):
@@ -335,18 +339,15 @@ def bilinear_upsample_x2(x):
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
                                  "got %s" % (x.shape,))
     c, h, w = x.shape
-    ri0, ri1, rf = _up_indices(h)
-    ci0, ci1, cf = _up_indices(w)
-    rf_ = rf[None, :, None]
-    cf_ = cf[None, None, :]
-
-    rows = x.data[:, ri0, :] * (1.0 - rf_) + x.data[:, ri1, :] * rf_
-    out = rows[:, :, ci0] * (1.0 - cf_) + rows[:, :, ci1] * cf_
 
     def bwd(g):
         if not x.requires_grad:
             return
         # transpose of the interpolation: scatter-add the same weights
+        ri0, ri1, rf = half_pixel_indices(h, 2 * h)
+        ci0, ci1, cf = half_pixel_indices(w, 2 * w)
+        rf_ = rf[None, :, None]
+        cf_ = cf[None, None, :]
         drows = np.zeros((c, 2 * h, w), dtype=DTYPE)
         np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf_))
         np.add.at(drows, (slice(None), slice(None), ci1), g * cf_)
@@ -355,7 +356,7 @@ def bilinear_upsample_x2(x):
         np.add.at(dx, (slice(None), ri1), drows * rf_)
         _accum(x, dx)
 
-    return _result(out, (x,), bwd)
+    return _result(bilinear_resample(x.data, 2 * h, 2 * w), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

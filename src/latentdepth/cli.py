@@ -79,9 +79,11 @@ def _build_parser():
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out", required=True, help="JSON result path")
+    p.set_defaults(func=_cmd_gen_synth)
 
-    for stage in ("train-guided", "train-color"):
-        p = sub.add_parser(stage)
+    for stage in ("guided", "color"):
+        p = sub.add_parser("train-" + stage)
+        p.set_defaults(func=_cmd_train, stage=stage)
         p.add_argument("--manifest", required=True)
         p.add_argument("--steps", type=int, required=True)
         p.add_argument("--batch-size", type=int, default=32)
@@ -94,7 +96,7 @@ def _build_parser():
         p.add_argument("--ckpt-out", required=True)
         p.add_argument("--loss-csv", default=None)
         p.add_argument("--out", required=True)
-        if stage == "train-color":
+        if stage == "color":
             p.add_argument("--guided", required=True,
                            help="frozen guided-network checkpoint")
             p.add_argument("--w-data", type=float, default=1.0)
@@ -110,6 +112,7 @@ def _build_parser():
     p.add_argument("--split", default="test", choices=["test", "train",
                                                        "all"])
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict")
     p.add_argument("--model", required=True)
@@ -117,15 +120,17 @@ def _build_parser():
     p.add_argument("--depth-out", required=True,
                    help="output 16-bit PGM depth map (millimeters)")
     p.add_argument("--out", required=True, help="JSON result path")
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("gradcheck")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("report")
-    p.add_argument("--table2", action="store_true", required=True)
+    p = sub.add_parser("report", help="Table 2 relative improvements")
     p.add_argument("--ours", type=float, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_report)
     return top
 
 
@@ -172,10 +177,11 @@ def _load_samples(manifest_path, h, w, split=None):
     return samples
 
 
-def _cmd_train(args, stage):
+def _cmd_train(args):
     from . import losses, training
     from .network import NetworkConfig, load_checkpoint
 
+    stage = args.stage
     h, w = _parse_size(args.size)
     in_ch = 1 if stage == "guided" else 3
     net = NetworkConfig(input_channels=in_ch, output_channels=1,
@@ -233,19 +239,12 @@ def _cmd_predict(args):
     import numpy as np
 
     from . import data
-    from .autodiff import ShapeMismatchError, Tensor, no_grad
+    from .autodiff import Tensor, no_grad
     from .network import load_checkpoint
 
     model = load_checkpoint(args.model)
-    rgb_raw = data.read_ppm(args.rgb)
-    rgb = rgb_raw.astype(float).transpose(2, 0, 1) / 255.0
-    expect = (model.config.input_channels, model.config.input_h,
-              model.config.input_w)
-    if rgb.shape != expect:
-        raise ShapeMismatchError("input image is %s but model expects %s"
-                                 % (rgb.shape, expect))
     with no_grad():
-        pred, _ = model.forward(Tensor(rgb))
+        pred, _ = model.forward(Tensor(data.load_rgb(args.rgb)))
     mm = np.clip(np.rint(pred.data[0] * 1000.0), 0, 65535).astype(np.uint16)
     data.write_pgm16(args.depth_out, mm)
     _write_json(args.out, {"depth_map": args.depth_out,
@@ -294,21 +293,7 @@ def main(argv=None):
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
-        if args.command == "gen-synth":
-            return _cmd_gen_synth(args)
-        if args.command == "train-guided":
-            return _cmd_train(args, "guided")
-        if args.command == "train-color":
-            return _cmd_train(args, "color")
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise UsageError("unknown command %r" % args.command)
+        return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
-"""RGB-D ingestion: binary PPM/PGM i/o, preprocessing, scene rebalancing,
-and a procedural synthetic scene generator for desk-scale runs.
+"""RGB-D ingestion: binary PPM/PGM i/o, preprocessing, manifests, and a
+procedural synthetic scene generator for desk-scale runs.
 
 Conventions: RGB is P6 PPM with maxval 255 scaled to [0,1]; depth is P5
 16-bit PGM in millimeters with raw 0 as the invalid sentinel, converted
@@ -11,6 +11,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autodiff import bilinear_resample
 
 
 class DataError(ValueError):
@@ -122,15 +124,19 @@ class RgbdSample:
         return self
 
 
+def load_rgb(path):
+    """A P6 PPM as a (3, H, W) float64 array in [0, 1]."""
+    return read_ppm(path).astype(np.float64).transpose(2, 0, 1) / 255.0
+
+
 def load_rgbd_pair(rgb_path, depth_path, scene_id=""):
-    rgb_raw = read_ppm(rgb_path)
+    rgb = load_rgb(rgb_path)
     depth_raw = read_pgm16(depth_path)
-    if rgb_raw.shape[:2] != depth_raw.shape:
+    if rgb.shape[1:] != depth_raw.shape:
         raise DimensionMismatchError("rgb is %dx%d but depth is %dx%d"
-                                     % (rgb_raw.shape[0], rgb_raw.shape[1],
+                                     % (rgb.shape[1], rgb.shape[2],
                                         depth_raw.shape[0],
                                         depth_raw.shape[1]))
-    rgb = rgb_raw.astype(np.float64).transpose(2, 0, 1) / 255.0
     depth = depth_raw.astype(np.float64)[None] / 1000.0
     mask = depth_raw > 0
     return RgbdSample(rgb=rgb, depth=depth, mask=mask,
@@ -147,23 +153,6 @@ def save_rgbd_pair(sample, rgb_path, depth_path):
 
 # ---------------------------------------------------------------------------
 # preprocessing
-
-def _bilinear_resize(img, th, tw):
-    """Half-pixel-centered bilinear resample of a (C, H, W) array."""
-    c, h, w = img.shape
-
-    def axis_idx(n, tn):
-        src = np.clip((np.arange(tn) + 0.5) * n / tn - 0.5, 0, n - 1)
-        i0 = np.floor(src).astype(np.intp)
-        return i0, np.minimum(i0 + 1, n - 1), src - i0
-
-    ri0, ri1, rf = axis_idx(h, th)
-    ci0, ci1, cf = axis_idx(w, tw)
-    rows = img[:, ri0, :] * (1 - rf)[None, :, None] + \
-        img[:, ri1, :] * rf[None, :, None]
-    return rows[:, :, ci0] * (1 - cf)[None, None, :] + \
-        rows[:, :, ci1] * cf[None, None, :]
-
 
 def _nearest_indices(n, tn):
     src = (np.arange(tn) + 0.5) * n / tn - 0.5
@@ -185,7 +174,7 @@ def preprocess(sample, target_h, target_w):
     ri = _nearest_indices(h, target_h)
     ci = _nearest_indices(w, target_w)
     return RgbdSample(
-        rgb=_bilinear_resize(sample.rgb, target_h, target_w),
+        rgb=bilinear_resample(sample.rgb, target_h, target_w),
         depth=sample.depth[:, ri][:, :, ci],
         mask=sample.mask[ri][:, ci],
         scene_id=sample.scene_id).validate()
@@ -247,31 +236,6 @@ def save_manifest(path, records, relative_to=None):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def rebalance_scenes(records, per_scene_target, seed=0, unique=False):
-    """Deterministic sampling plan (indices into records) drawing exactly
-    per_scene_target training records per scene, with replacement unless
-    unique is set."""
-    if per_scene_target < 1:
-        raise DataError("per_scene_target must be >= 1")
-    by_scene = {}
-    for i, rec in enumerate(records):
-        if rec.split == "train":
-            by_scene.setdefault(rec.scene_id, []).append(i)
-    if not by_scene:
-        raise DataError("rebalance_scenes: no training records")
-    rng = np.random.default_rng(seed)
-    plan = []
-    for scene in sorted(by_scene):
-        idxs = by_scene[scene]
-        if unique and per_scene_target > len(idxs):
-            raise DataError("scene %r has only %d records, cannot draw %d "
-                            "unique" % (scene, len(idxs), per_scene_target))
-        draws = rng.choice(idxs, size=per_scene_target, replace=not unique)
-        plan.extend(int(d) for d in draws)
-    order = rng.permutation(len(plan))
-    return [plan[i] for i in order]
 
 
 # ---------------------------------------------------------------------------

@@ -76,40 +76,38 @@ def image_gradient_loss(y, target):
     return ad.scale(total, 1.0 / n)
 
 
-def _paired_features(extract, y, target):
-    fy = extract(y)
-    ft = extract(target)
+def _layer_pairs(name, fy, ft):
     if len(fy) == 0:
-        raise ValueError("latent losses: empty feature layer set")
-    return fy, ft
-
-
-def latent_loss(extract, y, target):
-    """Per-layer mean (over spatial locations) of half the squared channel
-    distance between feature maps of y and target, summed over layers."""
-    fy, ft = _paired_features(extract, y, target)
-    total = None
+        raise ValueError("%s: empty feature layer set" % name)
+    if len(fy) != len(ft):
+        raise ShapeMismatchError("%s: %d prediction layers vs %d target "
+                                 "layers" % (name, len(fy), len(ft)))
     for a, b in zip(fy, ft):
         if a.shape != b.shape:
-            raise ShapeMismatchError("latent_loss: feature shape %s vs %s"
-                                     % (a.shape, b.shape))
+            raise ShapeMismatchError("%s: feature shape %s vs %s"
+                                     % (name, a.shape, b.shape))
+    return zip(fy, ft)
+
+
+def latent_loss(fy, ft):
+    """Per-layer mean (over spatial locations) of half the squared channel
+    distance between the feature maps fy of the prediction and ft of the
+    target, summed over layers."""
+    total = None
+    for a, b in _layer_pairs("latent_loss", fy, ft):
         n_loc = a.shape[-1] * a.shape[-2]
         term = ad.scale(ad.reduce(ad.sub(a, b), "l2sq"), 0.5 / n_loc)
         total = term if total is None else ad.add(total, term)
     return total
 
 
-def feature_gradient_loss(extract, y, target):
+def feature_gradient_loss(fy, ft):
     """image_gradient_loss applied per feature layer, summed over layers.
 
     Layers with spatial extent below 2 have empty difference maps and
     contribute zero."""
-    fy, ft = _paired_features(extract, y, target)
     total = None
-    for a, b in zip(fy, ft):
-        if a.shape != b.shape:
-            raise ShapeMismatchError("feature_gradient_loss: feature shape "
-                                     "%s vs %s" % (a.shape, b.shape))
+    for a, b in _layer_pairs("feature_gradient_loss", fy, ft):
         if a.shape[-1] < 2 or a.shape[-2] < 2:
             continue
         ah, av = ad.spatial_gradients(a)
@@ -124,40 +122,29 @@ def feature_gradient_loss(extract, y, target):
     return total
 
 
-def total_loss(extract, y, target, mask, weights):
+def total_loss(y, target, mask, weights, fy, ft):
     """Weighted combination; returns (LossReport, scalar Tensor).
 
-    Feature extraction is skipped entirely when both feature-based weights
-    are zero. The mask applies to the data term only.
+    fy and ft are the frozen network's feature lists of y and target; they
+    are read only when a feature-based weight is positive. The mask applies
+    to the data term only.
     """
-    terms = {}
-    terms["data"] = data_loss(y, target, mask)
-    terms["grad_image"] = image_gradient_loss(y, target)
+    terms = {"data": data_loss(y, target, mask),
+             "grad_image": image_gradient_loss(y, target),
+             "latent": None, "grad_feature": None}
     if weights.latent > 0 or weights.grad_feature > 0:
-        fy, ft = _paired_features(extract, y, target)
-        cached = lambda t: fy if t is y else ft
-        terms["latent"] = latent_loss(cached, y, target)
-        terms["grad_feature"] = feature_gradient_loss(cached, y, target)
-    else:
-        terms["latent"] = None
-        terms["grad_feature"] = None
+        terms["latent"] = latent_loss(fy, ft)
+        terms["grad_feature"] = feature_gradient_loss(fy, ft)
 
-    lam = {"data": weights.data, "latent": weights.latent,
-           "grad_image": weights.grad_image,
-           "grad_feature": weights.grad_feature}
+    # LossWeights fields carry the term names
+    names = ("data", "latent", "grad_image", "grad_feature")
     total = None
-    for name in ("data", "latent", "grad_image", "grad_feature"):
-        if terms[name] is None or lam[name] == 0:
+    for name in names:
+        lam = getattr(weights, name)
+        if terms[name] is None or lam == 0:
             continue
-        part = ad.scale(terms[name], lam[name])
+        part = ad.scale(terms[name], lam)
         total = part if total is None else ad.add(total, part)
 
-    def val(t):
-        return 0.0 if t is None else t.item()
-
-    report = LossReport(data=val(terms["data"]),
-                        latent=val(terms["latent"]),
-                        grad_image=val(terms["grad_image"]),
-                        grad_feature=val(terms["grad_feature"]),
-                        total=total.item())
-    return report, total
+    values = [0.0 if terms[n] is None else terms[n].item() for n in names]
+    return LossReport(*values, total=total.item()), total

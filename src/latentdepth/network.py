@@ -189,12 +189,14 @@ class DepthModel:
     Feature taps (shallowest first): the four encoder stage outputs plus
     the deepest latent (raw encoder latent from encoder_forward, bottleneck
     output from forward).
+
+    seed=None draws nothing: conv weights start at zero, for a model whose
+    arrays are about to be overwritten (load_checkpoint).
     """
 
     def __init__(self, config, seed=0, zero_branch=False):
         self.config = config
-        self.feature_taps = None
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         widths = config.stage_widths
         zb = zero_branch
 
@@ -264,10 +266,6 @@ class DepthModel:
             out.extend(mod.state(name))
         return out
 
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def freeze(self):
         for p in self.parameters():
             p.requires_grad = False
@@ -313,7 +311,6 @@ class DepthModel:
         deep = self.bottleneck_forward(latent)
         taps[-1] = deep
         pred = self.decoder_forward(deep)
-        self.feature_taps = taps
         return pred, taps
 
 
@@ -354,10 +351,6 @@ def extract_features(guided, y, layers=None):
     if layers is None:
         return taps
     return [taps[j] for j in sorted(layers)]
-
-
-def make_extractor(guided, layers=None):
-    return lambda y: extract_features(guided, y, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +416,7 @@ def load_checkpoint(path):
             config = NetworkConfig(**header["config"])
         except (TypeError, ValueError) as exc:
             raise CheckpointError("bad checkpoint config: %s" % exc) from exc
-        model = DepthModel(config, seed=0)
+        model = DepthModel(config, seed=None)
         items = model.state_items()
         if header["arrays"] != _array_table(items):
             raise CheckpointError("checkpoint arrays do not match the model "

@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import losses, metrics
+from . import losses, metrics, network
 from .autodiff import ShapeMismatchError, Tensor
 from .losses import LossWeights
-from .network import N_TAPS, DepthModel, NetworkConfig, make_extractor, \
-    save_checkpoint
+from .network import N_TAPS, DepthModel, NetworkConfig, save_checkpoint
 
 
 class TrainingError(RuntimeError):
@@ -92,8 +91,8 @@ def _write_loss_csv(path, history):
 
 
 def _run_loop(model, samples, config, batch_loss):
-    """Shared training loop; batch_loss maps a sample to
-    (LossReport, scalar Tensor)."""
+    """Shared training loop; batch_loss maps a sample and its index in
+    samples to (LossReport, scalar Tensor)."""
     if not samples:
         raise TrainingError("empty training dataset")
     rng = np.random.default_rng(config.seed)
@@ -106,7 +105,7 @@ def _run_loop(model, samples, config, batch_loss):
         total = None
         acc = np.zeros(5)
         for i in idxs:
-            report, loss = batch_loss(samples[int(i)])
+            report, loss = batch_loss(samples[int(i)], int(i))
             acc += (report.data, report.latent, report.grad_image,
                     report.grad_feature, report.total)
             total = loss if total is None else ad.add(total, loss)
@@ -133,7 +132,7 @@ def train_guided(config, samples):
         raise ValueError("train_guided: config.stage must be 'guided'")
     model = DepthModel(config.net, seed=config.seed)
 
-    def batch_loss(sample):
+    def batch_loss(sample, _index):
         x = Tensor(sample.depth)
         pred, _ = model.forward(x)
         loss = losses.data_loss(pred, Tensor(sample.depth), sample.mask)
@@ -160,28 +159,24 @@ def train_color(config, samples, guided):
                                     config.net.input_h, config.net.input_w))
     guided.freeze()
     model = DepthModel(config.net, seed=config.seed)
-    extract = make_extractor(guided, config.latent_layers)
     need_features = config.weights.latent > 0 or \
         config.weights.grad_feature > 0
-    target_cache = {}
+    target_cache = {}   # sample index -> features of its depth map
 
-    def cached_extract(target, key):
-        if key not in target_cache:
-            target_cache[key] = [t.detach() for t in extract(target)]
-        return target_cache[key]
-
-    def batch_loss(sample):
+    def batch_loss(sample, index):
         pred, _ = model.forward(Tensor(sample.rgb))
         target = Tensor(sample.depth)
+        fy = ft = None
         if need_features:
-            ft = cached_extract(target, id(sample))
-
-            def ext(t):
-                return ft if t is target else extract(t)
-        else:
-            ext = extract
-        return losses.total_loss(ext, pred, target, sample.mask,
-                                 config.weights)
+            # through the module attribute, so a wrapped
+            # network.extract_features sees every call
+            fy = network.extract_features(guided, pred, config.latent_layers)
+            if index not in target_cache:
+                target_cache[index] = network.extract_features(
+                    guided, target, config.latent_layers)
+            ft = target_cache[index]
+        return losses.total_loss(pred, target, sample.mask, config.weights,
+                                 fy, ft)
 
     history = _run_loop(model, samples, config, batch_loss)
     return model, history

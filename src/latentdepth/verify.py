@@ -8,7 +8,7 @@ from . import losses
 from .autodiff import Tensor, finite_diff_check
 from .losses import LossWeights
 from .network import DepthModel, NetworkConfig, ResBlock, ResBlockSpec, \
-    make_extractor
+    extract_features
 
 TOLERANCE = 1e-4
 
@@ -101,13 +101,14 @@ def run_gradient_checks(seed=0, fault=None):
                         bottleneck_blocks=1, input_h=16, input_w=16)
     guided = DepthModel(net, seed=seed + 2)
     guided.freeze()
-    extract = make_extractor(guided)
     target = Tensor(rng.uniform(1.0, 3.0, (1, 16, 16)))
+    ft = extract_features(guided, target)
     mask = np.ones((16, 16), dtype=bool)
     weights = LossWeights()
 
     def objective(t):
-        _, total = losses.total_loss(extract, t, target, mask, weights)
+        _, total = losses.total_loss(t, target, mask, weights,
+                                     extract_features(guided, t), ft)
         return total
 
     # keep |y - y*| away from 0 so the L1 terms are differentiable

@@ -324,14 +324,6 @@ class TestFiniteDiffCheck:
         assert err < 1e-6
 
 
-def test_check_finite():
-    ad.check_finite(Tensor(np.ones(3)))
-    with pytest.raises(ValueError, match="non-finite"):
-        ad.check_finite(Tensor(np.array([1.0, np.nan])))
-    with pytest.raises(ValueError, match="non-finite"):
-        ad.check_finite(Tensor(np.array([np.inf])))
-
-
 def test_all_ops_pass_gradient_suite_many_seeds():
     # the full per-operation sweep lives in verify; 3 seeds here, 20 in
     # the acceptance suite

@@ -150,7 +150,7 @@ class TestErrorPaths:
         assert main([]) == 1
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
-        assert main(["report", "--table2", "--bogus",
+        assert main(["report", "--bogus",
                      "--out", str(tmp_path / "r.json")]) == 1
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path):
@@ -204,7 +204,7 @@ class TestGradcheck:
 class TestReport:
     def test_table2_rows(self, tmp_path):
         out = str(tmp_path / "r.json")
-        rc = main(["report", "--table2", "--out", out])
+        rc = main(["report", "--out", out])
         assert rc == 0
         rows = {r["baseline"]: r["improvement_pct"]
                 for r in json.load(open(out))["rows"]}
@@ -214,7 +214,7 @@ class TestReport:
 
     def test_custom_ours(self, tmp_path):
         out = str(tmp_path / "r.json")
-        rc = main(["report", "--table2", "--ours", "0.454", "--out", out])
+        rc = main(["report", "--ours", "0.454", "--out", out])
         assert rc == 0
         rows = {r["baseline"]: r["improvement_pct"]
                 for r in json.load(open(out))["rows"]}

@@ -9,9 +9,9 @@ from latentdepth.data import (BG_FAR, BG_NEAR, SHADE_SCALE, DataError,
                               ManifestRecord, RgbdSample,
                               TruncatedPayloadError, load_manifest,
                               load_rgbd_pair, preprocess, read_pgm16,
-                              read_ppm, rebalance_scenes, save_manifest,
-                              save_rgbd_pair, synth_scene, synth_surfaces,
-                              write_pgm16, write_ppm)
+                              read_ppm, save_manifest, save_rgbd_pair,
+                              synth_scene, synth_surfaces, write_pgm16,
+                              write_ppm)
 
 
 class TestNetpbm:
@@ -227,57 +227,6 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="manifest"):
             load_manifest(str(path), check_paths=False)
-
-
-class TestRebalance:
-    def _records(self):
-        recs = []
-        for scene, count in (("a", 1), ("b", 3), ("c", 6)):
-            for i in range(count):
-                recs.append(ManifestRecord("%s%d.ppm" % (scene, i),
-                                           "%s%d.pgm" % (scene, i),
-                                           scene, "train"))
-        recs.append(ManifestRecord("t.ppm", "t.pgm", "a", "test"))
-        return recs
-
-    def test_exact_per_scene_counts(self):
-        recs = self._records()
-        plan = rebalance_scenes(recs, 4, seed=0)
-        assert len(plan) == 12
-        counts = {}
-        for i in plan:
-            counts[recs[i].scene_id] = counts.get(recs[i].scene_id, 0) + 1
-        assert counts == {"a": 4, "b": 4, "c": 4}
-
-    def test_test_split_never_drawn(self):
-        recs = self._records()
-        plan = rebalance_scenes(recs, 5, seed=1)
-        assert all(recs[i].split == "train" for i in plan)
-
-    def test_deterministic(self):
-        recs = self._records()
-        assert rebalance_scenes(recs, 3, seed=7) == \
-            rebalance_scenes(recs, 3, seed=7)
-
-    def test_shuffled_not_grouped(self):
-        recs = self._records()
-        plan = rebalance_scenes(recs, 50, seed=2)
-        scenes = [recs[i].scene_id for i in plan]
-        # a fully grouped plan would have exactly 2 adjacent scene changes
-        changes = sum(1 for x, y in zip(scenes, scenes[1:]) if x != y)
-        assert changes > 10
-
-    def test_unique_respects_scene_size(self):
-        recs = self._records()
-        plan = rebalance_scenes(recs, 1, seed=3, unique=True)
-        assert len(plan) == 3
-        with pytest.raises(DataError, match="unique"):
-            rebalance_scenes(recs, 2, seed=3, unique=True)
-
-    def test_no_training_records(self):
-        recs = [ManifestRecord("t.ppm", "t.pgm", "a", "test")]
-        with pytest.raises(DataError, match="no training"):
-            rebalance_scenes(recs, 1)
 
 
 class TestSynth:

@@ -6,15 +6,11 @@ from latentdepth.autodiff import ShapeMismatchError, Tensor, finite_diff_check
 from latentdepth.losses import (LossReport, LossWeights, data_loss,
                                 feature_gradient_loss, image_gradient_loss,
                                 latent_loss, total_loss)
-from latentdepth.network import DepthModel, NetworkConfig, make_extractor
+from latentdepth.network import DepthModel, NetworkConfig, extract_features
 
 
-def _stub_extract(fy, ft, y, target):
-    """Extractor keyed on object identity; fy/ft are lists of arrays."""
-    def extract(t):
-        arrs = fy if t is y else ft
-        return [Tensor(a.astype(float)) for a in arrs]
-    return extract
+def _feats(*arrs):
+    return [Tensor(a.astype(float)) for a in arrs]
 
 
 class TestLossWeights:
@@ -108,48 +104,45 @@ class TestImageGradientLoss:
 class TestLatentLoss:
     def test_stub_case_exact(self):
         # single layer, shape (1,1,2): 0.5/2 * (1^2 + 3^2) = 2.5
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        extract = _stub_extract([np.array([[[1.0, 3.0]]])],
-                                [np.zeros((1, 1, 2))], y, t)
-        assert latent_loss(extract, y, t).item() == 2.5
+        fy = _feats(np.array([[[1.0, 3.0]]]))
+        ft = _feats(np.zeros((1, 1, 2)))
+        assert latent_loss(fy, ft).item() == 2.5
 
     def test_additive_over_layers(self):
         rng = np.random.default_rng(4)
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
         la = [rng.random((2, 3, 3)), rng.random((4, 2, 2))]
         lb = [rng.random((2, 3, 3)), rng.random((4, 2, 2))]
-        both = latent_loss(_stub_extract(la, lb, y, t), y, t).item()
-        parts = sum(
-            latent_loss(_stub_extract([la[i]], [lb[i]], y, t), y, t).item()
-            for i in range(2))
+        both = latent_loss(_feats(*la), _feats(*lb)).item()
+        parts = sum(latent_loss(_feats(la[i]), _feats(lb[i])).item()
+                    for i in range(2))
         assert both == pytest.approx(parts, rel=1e-15)
 
     def test_zero_on_identical_features(self):
         f = np.random.default_rng(5).random((3, 2, 2))
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        assert latent_loss(_stub_extract([f], [f.copy()], y, t),
-                           y, t).item() == 0.0
+        assert latent_loss(_feats(f), _feats(f.copy())).item() == 0.0
 
     def test_empty_layers_rejected(self):
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
         with pytest.raises(ValueError, match="empty"):
-            latent_loss(_stub_extract([], [], y, t), y, t)
+            latent_loss([], [])
 
     def test_feature_shape_mismatch(self):
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        extract = _stub_extract([np.zeros((2, 2, 2))],
-                                [np.zeros((2, 3, 2))], y, t)
         with pytest.raises(ShapeMismatchError):
-            latent_loss(extract, y, t)
+            latent_loss(_feats(np.zeros((2, 2, 2))),
+                        _feats(np.zeros((2, 3, 2))))
+
+    def test_unequal_layer_counts_rejected(self):
+        f = np.zeros((2, 2, 2))
+        with pytest.raises(ShapeMismatchError, match="layers"):
+            latent_loss(_feats(f, f), _feats(f))
+        with pytest.raises(ShapeMismatchError, match="layers"):
+            latent_loss(_feats(f), _feats(f, f))
 
 
 class TestFeatureGradientLoss:
     def test_matches_image_gradient_per_layer(self):
         rng = np.random.default_rng(6)
         fa, fb = rng.random((2, 4, 4)), rng.random((2, 4, 4))
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        got = feature_gradient_loss(_stub_extract([fa], [fb], y, t),
-                                    y, t).item()
+        got = feature_gradient_loss(_feats(fa), _feats(fb)).item()
         want = image_gradient_loss(Tensor(fa), Tensor(fb)).item()
         assert got == pytest.approx(want, rel=1e-15)
 
@@ -157,18 +150,24 @@ class TestFeatureGradientLoss:
         rng = np.random.default_rng(7)
         fa, fb = rng.random((2, 3, 3)), rng.random((2, 3, 3))
         tiny_a, tiny_b = rng.random((8, 1, 1)), rng.random((8, 1, 1))
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        with_tiny = feature_gradient_loss(
-            _stub_extract([fa, tiny_a], [fb, tiny_b], y, t), y, t).item()
-        without = feature_gradient_loss(
-            _stub_extract([fa], [fb], y, t), y, t).item()
+        with_tiny = feature_gradient_loss(_feats(fa, tiny_a),
+                                          _feats(fb, tiny_b)).item()
+        without = feature_gradient_loss(_feats(fa), _feats(fb)).item()
         assert with_tiny == without
 
     def test_all_layers_tiny_gives_zero(self):
-        y, t = Tensor(np.zeros(1)), Tensor(np.ones(1))
-        extract = _stub_extract([np.ones((4, 1, 1))],
-                                [np.zeros((4, 1, 1))], y, t)
-        assert feature_gradient_loss(extract, y, t).item() == 0.0
+        assert feature_gradient_loss(_feats(np.ones((4, 1, 1))),
+                                     _feats(np.zeros((4, 1, 1)))
+                                     ).item() == 0.0
+
+    def test_empty_layers_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            feature_gradient_loss([], [])
+
+    def test_unequal_layer_counts_rejected(self):
+        f = np.zeros((2, 2, 2))
+        with pytest.raises(ShapeMismatchError, match="layers"):
+            feature_gradient_loss(_feats(f, f), _feats(f))
 
 
 class TestTotalLoss:
@@ -177,7 +176,7 @@ class TestTotalLoss:
                             bottleneck_blocks=1, input_h=16, input_w=16)
         guided = DepthModel(cfg, seed=seed)
         guided.freeze()
-        return make_extractor(guided)
+        return lambda y: extract_features(guided, y)
 
     def test_equals_weighted_sum_of_terms(self):
         rng = np.random.default_rng(8)
@@ -187,7 +186,7 @@ class TestTotalLoss:
         mask = np.ones((16, 16), bool)
         w = LossWeights(data=1.0, latent=0.25, grad_image=2.0,
                         grad_feature=0.5)
-        report, total = total_loss(extract, y, t, mask, w)
+        report, total = total_loss(y, t, mask, w, extract(y), extract(t))
         want = (w.data * report.data + w.latent * report.latent +
                 w.grad_image * report.grad_image +
                 w.grad_feature * report.grad_feature)
@@ -197,25 +196,21 @@ class TestTotalLoss:
     def test_zero_on_identical_inputs(self):
         extract = self._setup(10)
         x = np.random.default_rng(11).uniform(1.0, 3.0, (1, 16, 16))
-        report, total = total_loss(extract, Tensor(x), Tensor(x.copy()),
-                                   np.ones((16, 16), bool), LossWeights())
+        y, t = Tensor(x), Tensor(x.copy())
+        report, total = total_loss(y, t, np.ones((16, 16), bool),
+                                   LossWeights(), extract(y), extract(t))
         assert total.item() == 0.0
         assert (report.data, report.latent, report.grad_image,
                 report.grad_feature) == (0.0, 0.0, 0.0, 0.0)
 
     def test_feature_terms_skipped_when_unweighted(self):
-        calls = []
-
-        def extract(t):
-            calls.append(t)
-            return [Tensor(np.zeros((1, 2, 2)))]
-
+        # feature lists are not read: None in their place is accepted
         rng = np.random.default_rng(12)
         y = Tensor(rng.random((1, 4, 4)))
         t = Tensor(rng.random((1, 4, 4)))
-        report, _ = total_loss(extract, y, t, np.ones((4, 4), bool),
-                               LossWeights(latent=0.0, grad_feature=0.0))
-        assert calls == []
+        report, _ = total_loss(y, t, np.ones((4, 4), bool),
+                               LossWeights(latent=0.0, grad_feature=0.0),
+                               None, None)
         assert report.latent == 0.0 and report.grad_feature == 0.0
 
     def test_finite_diff_wrt_prediction(self):
@@ -229,9 +224,10 @@ class TestTotalLoss:
         bump = rng.uniform(0.3, 1.0, (1, 16, 16)) * \
             rng.choice([-1.0, 1.0], (1, 16, 16))
         y0 = t.data + bump
+        ft = extract(t)
 
         def f(y):
-            return total_loss(extract, y, t, mask, w)[1]
+            return total_loss(y, t, mask, w, extract(y), ft)[1]
 
         assert finite_diff_check(f, Tensor(y0)) < 1e-4
 

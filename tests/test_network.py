@@ -9,8 +9,7 @@ from latentdepth.autodiff import ShapeMismatchError, Tensor, backward, \
 from latentdepth.network import (CKPT_MAGIC, CheckpointError, ConvSpec,
                                  DepthModel, NetworkConfig, ResBlock,
                                  ResBlockSpec, extract_features,
-                                 load_checkpoint, make_extractor,
-                                 save_checkpoint, shape_plan)
+                                 load_checkpoint, save_checkpoint, shape_plan)
 
 DESK = NetworkConfig(input_channels=3, output_channels=1, base_width=4,
                      bottleneck_blocks=2, input_h=32, input_w=32)
@@ -127,6 +126,14 @@ class TestModelProperties:
         b = DepthModel(DESK, seed=99)
         assert a.parameter_shapes() == b.parameter_shapes()
 
+    def test_seed_none_draws_nothing(self):
+        model = DepthModel(DESK, seed=None)
+        assert model.parameter_shapes() == \
+            DepthModel(DESK, seed=1).parameter_shapes()
+        for name, arr in model.state_items():
+            want = 1.0 if name.endswith(".gamma") else 0.0
+            assert (arr == want).all(), name
+
     def test_zero_branch_model_blocks_are_identities(self):
         model = DepthModel(DESK, seed=2, zero_branch=True)
         rng = np.random.default_rng(3)
@@ -217,10 +224,9 @@ class TestExtractFeatures:
                             bottleneck_blocks=1, input_h=16, input_w=16)
         guided = DepthModel(cfg, seed=27)
         guided.freeze()
-        extract = make_extractor(guided, layers=[0, 4])
 
         def f(t):
-            feats = extract(t)
+            feats = extract_features(guided, t, layers=[0, 4])
             return ad.add(ad.reduce(feats[0], "l2sq"),
                           ad.reduce(feats[1], "l2sq"))
 

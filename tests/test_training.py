@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentdepth import network
 from latentdepth.autodiff import ShapeMismatchError, Tensor
 from latentdepth.data import synth_scene
 from latentdepth.losses import LossWeights
@@ -199,6 +200,33 @@ class TestTrainColor:
                              weights=LossWeights(1.0, 0.02, 1.0, 0.0))
         _, history = train_color(config, _samples(2, seed=8), guided)
         assert len(history) == 2 and history[0].latent > 0
+
+    @pytest.mark.parametrize("weights", [LossWeights(1.0, 0.02, 1.0, 0.005),
+                                         LossWeights(1.0, 0.0, 1.0, 0.0)])
+    def test_feature_extraction_calls(self, monkeypatch, weights):
+        # one extraction per drawn sample for the prediction, one per
+        # distinct drawn index for the cached target, none when unweighted
+        calls = []
+        real = network.extract_features
+
+        def counting(guided, y, layers=None):
+            calls.append("pred" if y.requires_grad else "target")
+            return real(guided, y, layers)
+
+        monkeypatch.setattr(network, "extract_features", counting)
+        samples = _samples(3, seed=10)
+        config = TrainConfig(stage="color", net=NET16_RGB, steps=3,
+                             batch_size=4, seed=10, weights=weights)
+        train_color(config, samples, DepthModel(NET16, seed=10))
+        rng = np.random.default_rng(config.seed)
+        drawn = [int(i) for _ in range(config.steps)
+                 for i in rng.integers(0, len(samples), config.batch_size)]
+        assert len(set(drawn)) < len(drawn)
+        if weights.latent == 0 and weights.grad_feature == 0:
+            assert calls == []
+        else:
+            assert calls.count("pred") == len(drawn)
+            assert calls.count("target") == len(set(drawn))
 
 
 class TestEvaluate:
