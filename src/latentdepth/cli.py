@@ -6,6 +6,7 @@ and a human-readable summary to stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,8 +27,9 @@ def _parse_size(text):
         h, w = int(h), int(w)
     except ValueError:
         raise UsageError("--size must be HxW, got %r" % text)
-    if h % 16 != 0 or w % 16 != 0:
-        raise UsageError("--size dims must be divisible by 16, got %s" % text)
+    if min(h, w) < 16 or h % 16 != 0 or w % 16 != 0:
+        raise UsageError("--size dims must be at least 16 and divisible by "
+                         "16, got %s" % text)
     return h, w
 
 
@@ -142,6 +144,9 @@ def _cmd_gen_synth(args):
 
     if args.count < 1 or args.objects < 1 or args.per_scene < 1:
         raise UsageError("--count, --objects and --per-scene must be >= 1")
+    if not 0.0 <= args.test_fraction <= 1.0:
+        raise UsageError("--test-fraction must be in [0, 1], got %r"
+                         % args.test_fraction)
     h, w = _parse_size(args.size)
     os.makedirs(args.out_dir, exist_ok=True)
     records = []
@@ -228,9 +233,7 @@ def _cmd_eval(args):
     samples = _load_samples(args.manifest, model.config.input_h,
                             model.config.input_w, split=args.split)
     result = training.evaluate(model, samples)
-    _write_json(args.out, {"rmse": result.rmse,
-                           "n_valid_pixels": result.n_valid_pixels,
-                           "n_images": result.n_images})
+    _write_json(args.out, dataclasses.asdict(result))
     print(result.summary())
     return 0
 

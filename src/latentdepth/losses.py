@@ -110,12 +110,7 @@ def feature_gradient_loss(fy, ft):
     for a, b in _layer_pairs("feature_gradient_loss", fy, ft):
         if a.shape[-1] < 2 or a.shape[-2] < 2:
             continue
-        ah, av = ad.spatial_gradients(a)
-        bh, bv = ad.spatial_gradients(b)
-        n_loc = a.shape[-1] * a.shape[-2]
-        term = ad.scale(ad.add(ad.reduce(ad.sub(ah, bh), "l1"),
-                               ad.reduce(ad.sub(av, bv), "l1")),
-                        1.0 / n_loc)
+        term = image_gradient_loss(a, b)
         total = term if total is None else ad.add(total, term)
     if total is None:
         total = ad.Tensor(0.0)

@@ -1,7 +1,6 @@
 """Evaluation: pooled RMSE over valid pixels and relative-improvement
 arithmetic for baseline comparisons."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,6 @@ class EvalResult:
             raise ValueError("EvalResult: rmse must be finite and >= 0")
         if self.n_valid_pixels <= 0:
             raise ValueError("EvalResult: need at least one valid pixel")
-
-    def to_json(self):
-        return json.dumps({"rmse": self.rmse,
-                           "n_valid_pixels": self.n_valid_pixels,
-                           "n_images": self.n_images})
 
     def summary(self):
         return "RMSE %.6f over %d valid pixels in %d images" % (

@@ -18,45 +18,7 @@ ENCODER_KERNELS = (9, 7, 5, 3)
 BOTTLENECK_KERNEL = 3
 # feature taps: the four encoder stage outputs plus the deepest latent
 N_TAPS = len(ENCODER_KERNELS) + 1
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    out_channels: int
-    in_channels: int
-    kernel_h: int
-    kernel_w: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if min(self.out_channels, self.in_channels,
-               self.kernel_h, self.kernel_w) < 1:
-            raise ValueError("ConvSpec: dimensions must be positive")
-        if self.kernel_h % 2 == 0 or self.kernel_w % 2 == 0:
-            raise ValueError("ConvSpec: kernel dims must be odd")
-        if self.stride not in (1, 2):
-            raise ValueError("ConvSpec: stride must be 1 or 2")
-
-    @property
-    def padding(self):
-        return (self.kernel_h - 1) // 2, (self.kernel_w - 1) // 2
-
-    @property
-    def weight_shape(self):
-        return (self.out_channels, self.in_channels,
-                self.kernel_h, self.kernel_w)
-
-
-@dataclass(frozen=True)
-class ResBlockSpec:
-    channels: int
-    kernel: int
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("ResBlockSpec: channels must be positive")
-        if self.kernel % 2 == 0 or self.kernel < 1:
-            raise ValueError("ResBlockSpec: kernel must be odd and positive")
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -75,9 +37,11 @@ class NetworkConfig:
             raise ValueError("NetworkConfig: channel counts must be positive")
         if self.base_width < 1 or self.bottleneck_blocks < 0:
             raise ValueError("NetworkConfig: invalid width or block count")
-        if self.input_h % 16 != 0 or self.input_w % 16 != 0:
-            raise ValueError("NetworkConfig: input dims must be divisible by "
-                             "16, got %dx%d" % (self.input_h, self.input_w))
+        if min(self.input_h, self.input_w) < 16 or \
+                self.input_h % 16 != 0 or self.input_w % 16 != 0:
+            raise ValueError("NetworkConfig: input dims must be at least 16 "
+                             "and divisible by 16, got %dx%d"
+                             % (self.input_h, self.input_w))
 
     @property
     def stage_widths(self):
@@ -90,97 +54,75 @@ class NetworkConfig:
 
 
 class Conv:
-    def __init__(self, spec, rng=None):
-        self.spec = spec
+    def __init__(self, cout, cin, k, stride=1, rng=None):
+        self.stride = stride
+        shape = (cout, cin, k, k)
         if rng is None:
-            w = np.zeros(spec.weight_shape)
+            w = np.zeros(shape)
         else:
-            fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-            limit = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-limit, limit, spec.weight_shape)
+            limit = 1.0 / np.sqrt(cin * k * k)
+            w = rng.uniform(-limit, limit, shape)
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(spec.out_channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.spec.stride)
+        return ad.conv2d(x, self.weight, self.bias, self.stride)
 
-    def params(self):
-        return [self.weight, self.bias]
-
-    def state(self, prefix):
-        return [(prefix + ".weight", self.weight.data),
-                (prefix + ".bias", self.bias.data)]
+    def named(self, prefix):
+        return [(prefix + ".weight", self.weight),
+                (prefix + ".bias", self.bias)]
 
 
 class BatchNorm:
     """Per-sample normalization with a learned per-channel affine map
     (see ad.batch_norm2d)."""
 
-    def __init__(self, channels, eps=1e-5, gamma_init=1.0):
+    def __init__(self, channels, gamma_init=1.0):
         self.gamma = Tensor(np.full(channels, gamma_init),
                             requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x):
-        return ad.batch_norm2d(x, self.gamma, self.beta, self.eps)
+        return ad.batch_norm2d(x, self.gamma, self.beta, BN_EPS)
 
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def state(self, prefix):
-        return [(prefix + ".gamma", self.gamma.data),
-                (prefix + ".beta", self.beta.data)]
+    def named(self, prefix):
+        return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
 
 
 class ResBlock:
     """Identity skip plus conv-BN-relu-conv-BN branch; no ReLU after the
     join so a zero-initialized branch is an exact identity."""
 
-    def __init__(self, spec, rng=None, zero_branch=False):
-        self.spec = spec
-        c, k = spec.channels, spec.kernel
-        cspec = ConvSpec(c, c, k, k, stride=1)
+    def __init__(self, channels, kernel, rng=None, zero_branch=False):
         branch_rng = None if zero_branch else rng
         gamma_init = 0.0 if zero_branch else 1.0
-        self.conv1 = Conv(cspec, branch_rng)
-        self.bn1 = BatchNorm(c, gamma_init=gamma_init)
-        self.conv2 = Conv(cspec, branch_rng)
-        self.bn2 = BatchNorm(c, gamma_init=gamma_init)
+        self.conv1 = Conv(channels, channels, kernel, rng=branch_rng)
+        self.bn1 = BatchNorm(channels, gamma_init)
+        self.conv2 = Conv(channels, channels, kernel, rng=branch_rng)
+        self.bn2 = BatchNorm(channels, gamma_init)
 
     def __call__(self, x):
-        if x.shape[0] != self.spec.channels:
-            raise ShapeMismatchError(
-                "res_block: input has %d channels, block expects %d"
-                % (x.shape[0], self.spec.channels))
         h = ad.relu(self.bn1(self.conv1(x)))
-        h = self.bn2(self.conv2(h))
-        return ad.add(x, h)
+        return ad.add(x, self.bn2(self.conv2(h)))
 
-    def params(self):
-        return (self.conv1.params() + self.bn1.params() +
-                self.conv2.params() + self.bn2.params())
-
-    def state(self, prefix):
-        return (self.conv1.state(prefix + ".conv1") +
-                self.bn1.state(prefix + ".bn1") +
-                self.conv2.state(prefix + ".conv2") +
-                self.bn2.state(prefix + ".bn2"))
+    def named(self, prefix):
+        return (self.conv1.named(prefix + ".conv1") +
+                self.bn1.named(prefix + ".bn1") +
+                self.conv2.named(prefix + ".conv2") +
+                self.bn2.named(prefix + ".bn2"))
 
 
 class _ConvBnRelu:
-    def __init__(self, spec, rng):
-        self.conv = Conv(spec, rng)
-        self.bn = BatchNorm(spec.out_channels)
+    def __init__(self, cout, cin, k, stride, rng):
+        self.conv = Conv(cout, cin, k, stride, rng)
+        self.bn = BatchNorm(cout)
 
     def __call__(self, x):
         return ad.relu(self.bn(self.conv(x)))
 
-    def params(self):
-        return self.conv.params() + self.bn.params()
-
-    def state(self, prefix):
-        return self.conv.state(prefix + ".conv") + self.bn.state(prefix + ".bn")
+    def named(self, prefix):
+        return (self.conv.named(prefix + ".conv") +
+                self.bn.named(prefix + ".bn"))
 
 
 class DepthModel:
@@ -199,22 +141,29 @@ class DepthModel:
         rng = None if seed is None else np.random.default_rng(seed)
         widths = config.stage_widths
         zb = zero_branch
+        # (name, module) in construction order: the order of the random
+        # draws and of the checkpoint arrays
+        self._modules = []
+
+        def add(name, module):
+            self._modules.append((name, module))
+            return module
 
         self.enc_stages = []
         in_c = config.input_channels
         for i, (w, k) in enumerate(zip(widths, ENCODER_KERNELS)):
-            stride = 1 if i == 0 else 2
-            head = _ConvBnRelu(ConvSpec(w, in_c, k, k, stride), rng)
-            block = ResBlock(ResBlockSpec(w, k), rng, zero_branch=zb)
+            head = add("enc%d" % i,
+                       _ConvBnRelu(w, in_c, k, 1 if i == 0 else 2, rng))
+            block = add("enc%d.block" % i, ResBlock(w, k, rng, zb))
             self.enc_stages.append((head, block))
             in_c = w
-        self.enc_latent = _ConvBnRelu(
-            ConvSpec(widths[3], widths[3], 3, 3, stride=2), rng)
+        self.enc_latent = add("enc_latent",
+                              _ConvBnRelu(widths[3], widths[3], 3, 2, rng))
 
         self.bottleneck = [
-            ResBlock(ResBlockSpec(widths[3], BOTTLENECK_KERNEL), rng,
-                     zero_branch=zb)
-            for _ in range(config.bottleneck_blocks)]
+            add("bottleneck%d" % i,
+                ResBlock(widths[3], BOTTLENECK_KERNEL, rng, zb))
+            for i in range(config.bottleneck_blocks)]
 
         # strict mirror of the encoder: conv kernel at each decoder stage
         # matches the encoder conv it undoes, ResBlock kernels 3,5,7,9
@@ -225,46 +174,27 @@ class DepthModel:
             (widths[1], widths[0], 7, 9),
         ]
         self.dec_stages = []
-        for in_w, out_w, conv_k, block_k in dec_plan:
-            head = _ConvBnRelu(ConvSpec(out_w, in_w, conv_k, conv_k, 1), rng)
-            block = ResBlock(ResBlockSpec(out_w, block_k), rng,
-                             zero_branch=zb)
+        for i, (in_w, out_w, conv_k, block_k) in enumerate(dec_plan):
+            head = add("dec%d" % i, _ConvBnRelu(out_w, in_w, conv_k, 1, rng))
+            block = add("dec%d.block" % i, ResBlock(out_w, block_k, rng, zb))
             self.dec_stages.append((head, block))
         # final layer is linear: no norm, no activation
-        self.out_conv = Conv(ConvSpec(config.output_channels, widths[0],
-                                      9, 9, 1), rng)
+        self.out_conv = add("out", Conv(config.output_channels, widths[0], 9,
+                                        rng=rng))
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _modules(self):
-        mods = []
-        for i, (head, block) in enumerate(self.enc_stages):
-            mods.append(("enc%d" % i, head))
-            mods.append(("enc%d.block" % i, block))
-        mods.append(("enc_latent", self.enc_latent))
-        for i, block in enumerate(self.bottleneck):
-            mods.append(("bottleneck%d" % i, block))
-        for i, (head, block) in enumerate(self.dec_stages):
-            mods.append(("dec%d" % i, head))
-            mods.append(("dec%d.block" % i, block))
-        mods.append(("out", self.out_conv))
-        return mods
+    def named_tensors(self):
+        """Ordered (name, Tensor) pairs, the checkpoint layout."""
+        return [item for name, mod in self._modules
+                for item in mod.named(name)]
 
     def parameters(self):
-        out = []
-        for _, mod in self._modules():
-            out.extend(mod.params())
-        return out
-
-    def parameter_shapes(self):
-        return [p.shape for p in self.parameters()]
+        return [t for _, t in self.named_tensors()]
 
     def state_items(self):
         """Ordered (name, array) pairs; arrays are live references."""
-        out = []
-        for name, mod in self._modules():
-            out.extend(mod.state(name))
-        return out
+        return [(n, t.data) for n, t in self.named_tensors()]
 
     def freeze(self):
         for p in self.parameters():

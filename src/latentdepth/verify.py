@@ -7,8 +7,7 @@ from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor, finite_diff_check
 from .losses import LossWeights
-from .network import DepthModel, NetworkConfig, ResBlock, ResBlockSpec, \
-    extract_features
+from .network import DepthModel, NetworkConfig, ResBlock, extract_features
 
 TOLERANCE = 1e-4
 
@@ -92,7 +91,7 @@ def run_gradient_checks(seed=0, fault=None):
         rng.standard_normal((3, 3)))
 
     # residual block
-    block = ResBlock(ResBlockSpec(2, 3), rng=np.random.default_rng(seed + 1))
+    block = ResBlock(2, 3, rng=np.random.default_rng(seed + 1))
     run("res_block", lambda t: ad.reduce(block(t), "l2sq"),
         rng.standard_normal((2, 4, 4)))
 

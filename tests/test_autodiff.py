@@ -74,14 +74,24 @@ class TestConv2d:
         w = rng.standard_normal((5, 3, 3, 3))
         b = rng.standard_normal(5)
         for stride in (1, 2):
-            ref = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride).data
+            g = rng.standard_normal((5, -(-9 // stride), -(-8 // stride)))
+            ref = self._conv_and_grads(x, w, b, stride, g)
             limit = ad._IM2COL_LIMIT
             try:
                 ad._IM2COL_LIMIT = 0
-                alt = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride).data
+                alt = self._conv_and_grads(x, w, b, stride, g)
             finally:
                 ad._IM2COL_LIMIT = limit
-            np.testing.assert_allclose(alt, ref, rtol=1e-12, atol=1e-12)
+            for a, r in zip(alt, ref):
+                np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _conv_and_grads(x, w, b, stride, g):
+        """Output and input, weight and bias gradients of sum(g * conv)."""
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = ad.conv2d(tx, tw, tb, stride)
+        backward(ad.reduce(ad.mul_const(out, g), "sum"))
+        return out.data, tx.grad, tw.grad, tb.grad
 
 
 class TestBatchNorm:

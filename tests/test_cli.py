@@ -309,13 +309,23 @@ FLAG_CASES = {
     "layers_past_last_tap": ("color", ["--layers", "9"], 2, "tap indices"),
     "layers_negative": ("color", ["--layers", "-1"], 2, "tap indices"),
     "layers_duplicate": ("color", ["--layers", "1,1"], 2, "tap indices"),
+    "size_zero": ("guided", ["--size", "0x16"], 1, "--size"),
+}
+
+# gen-synth flags -> (extra argv, exit code, message fragment)
+GEN_CASES = {
+    "test_fraction_nan": (["--test-fraction", "nan"], 1, "--test-fraction"),
+    "test_fraction_above_1": (["--test-fraction", "2"], 1, "--test-fraction"),
+    "test_fraction_negative": (["--test-fraction", "-1"], 1,
+                               "--test-fraction"),
 }
 
 TABLE = [("checkpoint", c, 2, "version 1" if c == "v1" else "checkpoint")
          for c in CKPT_CASES] + \
     [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
     [("flags", c, code, frag)
-     for c, (_, _, code, frag) in FLAG_CASES.items()]
+     for c, (_, _, code, frag) in FLAG_CASES.items()] + \
+    [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()]
 
 
 def _bad_checkpoint(case, color_ckpt, tmp_path):
@@ -336,6 +346,9 @@ def _argv(kind, case, pipeline, tmp_path):
         with open(bad, "w") as fh:
             json.dump(doc, fh)
         return ["eval", "--model", color_ckpt, "--manifest", bad] + out
+    if kind == "gen":
+        return ["gen-synth", "--count", "2", "--size", "16x16",
+                "--out-dir", str(tmp_path / "g")] + GEN_CASES[case][0] + out
     stage, extra, _, _ = FLAG_CASES[case]
     argv = ["train-" + stage, "--manifest", manifest, "--steps", "1",
             "--batch-size", "1", "--base-width", "2",

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -99,9 +102,8 @@ class TestRelativeImprovement:
 
 class TestEvalResult:
     def test_json_fields(self):
-        import json
         r = EvalResult(rmse=0.25, n_valid_pixels=100, n_images=4)
-        doc = json.loads(r.to_json())
+        doc = json.loads(json.dumps(asdict(r)))
         assert doc == {"rmse": 0.25, "n_valid_pixels": 100, "n_images": 4}
 
     def test_validation(self):

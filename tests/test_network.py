@@ -6,9 +6,8 @@ import pytest
 import latentdepth.autodiff as ad
 from latentdepth.autodiff import ShapeMismatchError, Tensor, backward, \
     finite_diff_check
-from latentdepth.network import (CKPT_MAGIC, CheckpointError, ConvSpec,
-                                 DepthModel, NetworkConfig, ResBlock,
-                                 ResBlockSpec, extract_features,
+from latentdepth.network import (CKPT_MAGIC, CheckpointError, DepthModel,
+                                 NetworkConfig, ResBlock, extract_features,
                                  load_checkpoint, save_checkpoint, shape_plan)
 
 DESK = NetworkConfig(input_channels=3, output_channels=1, base_width=4,
@@ -20,8 +19,9 @@ GUIDED_DESK = NetworkConfig(input_channels=1, output_channels=1,
 
 class TestConfigs:
     def test_dims_must_divide_16(self):
-        with pytest.raises(ValueError, match="divisible by 16"):
-            NetworkConfig(input_channels=3, input_h=30, input_w=32)
+        for h, w in [(30, 32), (0, 16), (16, -16)]:
+            with pytest.raises(ValueError, match="divisible by 16"):
+                NetworkConfig(input_channels=3, input_h=h, input_w=w)
 
     def test_non_integer_field_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -33,41 +33,28 @@ class TestConfigs:
         assert cfg.stage_widths == (64, 128, 256, 512)
         assert cfg.latent_shape == (512, 20, 15)
 
-    def test_convspec_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            ConvSpec(4, 4, 4, 4, 1)
-        with pytest.raises(ValueError, match="stride"):
-            ConvSpec(4, 4, 3, 3, 4)
-        assert ConvSpec(4, 4, 9, 9, 1).padding == (4, 4)
-
-    def test_resblockspec_validation(self):
-        with pytest.raises(ValueError):
-            ResBlockSpec(0, 3)
-        with pytest.raises(ValueError):
-            ResBlockSpec(4, 4)
-
 
 class TestResBlock:
     def test_zero_branch_is_exact_identity(self):
         rng = np.random.default_rng(0)
         for channels, kernel in [(4, 3), (8, 5)]:
-            block = ResBlock(ResBlockSpec(channels, kernel), zero_branch=True)
+            block = ResBlock(channels, kernel, zero_branch=True)
             x = rng.standard_normal((channels, 6, 6))
             out = block(Tensor(x))
             np.testing.assert_array_equal(out.data, x)
 
     def test_shape_preserved(self):
-        block = ResBlock(ResBlockSpec(64, 9), rng=np.random.default_rng(1))
+        block = ResBlock(64, 9, rng=np.random.default_rng(1))
         out = block(Tensor(np.random.default_rng(2).random((64, 32, 32))))
         assert out.shape == (64, 32, 32)
 
     def test_channel_mismatch(self):
-        block = ResBlock(ResBlockSpec(4, 3), rng=np.random.default_rng(1))
+        block = ResBlock(4, 3, rng=np.random.default_rng(1))
         with pytest.raises(ShapeMismatchError, match="channels"):
             block(Tensor(np.zeros((3, 8, 8))))
 
     def test_gradient_check(self):
-        block = ResBlock(ResBlockSpec(2, 3), rng=np.random.default_rng(7))
+        block = ResBlock(2, 3, rng=np.random.default_rng(7))
         probe = np.random.default_rng(8).standard_normal((2, 4, 4))
         err = finite_diff_check(
             lambda t: ad.reduce(block(t), "l2sq"),
@@ -124,12 +111,21 @@ class TestModelProperties:
     def test_param_shapes_pure_function_of_config(self):
         a = DepthModel(DESK, seed=1)
         b = DepthModel(DESK, seed=99)
-        assert a.parameter_shapes() == b.parameter_shapes()
+        assert [p.shape for p in a.parameters()] == \
+            [p.shape for p in b.parameters()]
+
+    def test_parameters_and_state_items_agree(self):
+        model = DepthModel(DESK, seed=1)
+        params = model.parameters()
+        items = model.state_items()
+        assert len(params) == len(items)
+        for p, (_, arr) in zip(params, items):
+            assert p.data is arr
 
     def test_seed_none_draws_nothing(self):
         model = DepthModel(DESK, seed=None)
-        assert model.parameter_shapes() == \
-            DepthModel(DESK, seed=1).parameter_shapes()
+        assert [p.shape for p in model.parameters()] == \
+            [p.shape for p in DepthModel(DESK, seed=1).parameters()]
         for name, arr in model.state_items():
             want = 1.0 if name.endswith(".gamma") else 0.0
             assert (arr == want).all(), name
@@ -138,12 +134,12 @@ class TestModelProperties:
         model = DepthModel(DESK, seed=2, zero_branch=True)
         rng = np.random.default_rng(3)
         for _, block in model.enc_stages:
-            c = block.spec.channels
+            c = block.conv1.weight.shape[0]
             x = rng.standard_normal((c, 8, 8))
             np.testing.assert_array_equal(
                 block(Tensor(x)).data, x)
         for block in model.bottleneck:
-            x = rng.standard_normal((block.spec.channels, 4, 4))
+            x = rng.standard_normal((block.conv1.weight.shape[0], 4, 4))
             np.testing.assert_array_equal(
                 block(Tensor(x)).data, x)
 
