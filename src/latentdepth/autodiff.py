@@ -153,18 +153,27 @@ def relu(a):
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
 # patch matrices above this element count switch to the offset-accumulation
-# path, which never materializes O(C*K^2*H*W) memory
+# path, which never materializes O(C*K^2*H*W) memory; below it, a conv holds
+# at most one patch matrix at a time: the forward drops it and the weight
+# gradient rebuilds it, so recorded graphs keep only their inputs
 _IM2COL_LIMIT = 1 << 24
 
+
+def _pad(x, ph, pw):
+    """A CxHxW array with ph zero rows and pw zero columns on each side."""
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=DTYPE)
+    xp[:, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 def _im2col(x, kh, kw, stride, ph, pw, oh, ow):
-    c = x.shape[0]
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((c, kh, kw, oh, ow), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * oh:stride,
-                               j:j + stride * ow:stride]
-    return cols.reshape(c * kh * kw, oh * ow)
+    # (C, H, W, kh, kw) windows of the padded input, one per output pixel
+    # at stride 1; a single copy lays them out as (C, kh, kw, oh, ow)
+    win = np.lib.stride_tricks.sliding_window_view(
+        _pad(x, ph, pw), (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
+    return cols.reshape(x.shape[0] * kh * kw, oh * ow)
 
 
 def _col2im(cols, c, h, w, kh, kw, stride, ph, pw, oh, ow):
@@ -205,13 +214,14 @@ def conv2d(x, weight, bias, stride=1):
     oh, ow = -(-h // stride), -(-w // stride)
 
     if cin * kh * kw * oh * ow <= _IM2COL_LIMIT:
-        cols = _im2col(x.data, kh, kw, stride, ph, pw, oh, ow)
         wmat = weight.data.reshape(cout, -1)
-        out = (wmat @ cols + bias.data[:, None]).reshape(cout, oh, ow)
+        out = (wmat @ _im2col(x.data, kh, kw, stride, ph, pw, oh, ow) +
+               bias.data[:, None]).reshape(cout, oh, ow)
 
         def bwd(g):
             gmat = g.reshape(cout, -1)
             if weight.requires_grad:
+                cols = _im2col(x.data, kh, kw, stride, ph, pw, oh, ow)
                 _accum(weight, (gmat @ cols.T).reshape(weight.shape))
             if bias.requires_grad:
                 _accum(bias, gmat.sum(axis=1))
@@ -224,7 +234,7 @@ def conv2d(x, weight, bias, stride=1):
 
     # large inputs: accumulate per kernel offset instead of materializing
     # the full patch matrix
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
+    xp = _pad(x.data, ph, pw)
     out = np.empty((cout, oh * ow), dtype=DTYPE)
     out[:] = bias.data[:, None]
     for i in range(kh):

@@ -8,6 +8,7 @@ and a human-readable summary to stdout.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -42,10 +43,12 @@ def _parse_layers(text):
 
 
 def _write_json(path, payload):
+    # serialized before any file is touched: a non-finite float raises
+    # ValueError and leaves path as it was, with no .tmp file
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
 
 
@@ -281,6 +284,9 @@ def _cmd_report(args):
     from . import metrics
 
     ours = args.ours if args.ours is not None else metrics.TABLE2_OURS
+    if not (math.isfinite(ours) and ours >= 0):
+        raise UsageError("--ours must be a finite, non-negative RMSE, got %r"
+                         % ours)
     rows = []
     for name, baseline in metrics.TABLE2_BASELINES.items():
         imp = metrics.relative_improvement(baseline, ours)

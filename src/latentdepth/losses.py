@@ -9,6 +9,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError
 
+# the loss terms in LossReport order; LossWeights fields carry the same names
+TERMS = ("data", "latent", "grad_image", "grad_feature")
 CSV_HEADER = "step,data,latent,grad_image,grad_feature,total"
 
 
@@ -131,15 +133,13 @@ def total_loss(y, target, mask, weights, fy, ft):
         terms["latent"] = latent_loss(fy, ft)
         terms["grad_feature"] = feature_gradient_loss(fy, ft)
 
-    # LossWeights fields carry the term names
-    names = ("data", "latent", "grad_image", "grad_feature")
     total = None
-    for name in names:
+    for name in TERMS:
         lam = getattr(weights, name)
         if terms[name] is None or lam == 0:
             continue
         part = ad.scale(terms[name], lam)
         total = part if total is None else ad.add(total, part)
 
-    values = [0.0 if terms[n] is None else terms[n].item() for n in names]
+    values = [0.0 if terms[n] is None else terms[n].item() for n in TERMS]
     return LossReport(*values, total=total.item()), total

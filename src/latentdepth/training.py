@@ -111,7 +111,10 @@ def _run_loop(model, samples, config, batch_loss):
             total = loss if total is None else ad.add(total, loss)
         total = ad.scale(total, 1.0 / config.batch_size)
         if not np.isfinite(total.data):
-            raise TrainingError("non-finite loss at step %d" % step)
+            term = next((name for name, v in zip(losses.TERMS, acc)
+                         if not np.isfinite(v)), "total")
+            raise TrainingError("non-finite loss at step %d: %s"
+                                % (step, term))
         ad.backward(total)
         opt.step()
         acc /= config.batch_size

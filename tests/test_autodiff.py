@@ -85,6 +85,64 @@ class TestConv2d:
             for a, r in zip(alt, ref):
                 np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
 
+    def test_graph_holds_no_patch_matrix(self):
+        # the patch matrix has C*kh*kw*oh*ow elements; the closure keeps
+        # the inputs and rebuilds it in backward
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        out = ad.conv2d(x, w, Tensor(np.zeros(4)), 1)
+        patch_size = 3 * 3 * 3 * 5 * 6
+        held = []
+        for cell in out._backward_fn.__closure__:
+            v = cell.cell_contents
+            held.append(v.data if isinstance(v, Tensor) else v)
+        sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+        assert sizes and patch_size not in sizes
+
+    @pytest.mark.parametrize("weight_grad,rebuilds", [(True, 1), (False, 0)])
+    def test_backward_rebuilds_only_for_weight_grad(self, monkeypatch,
+                                                    weight_grad, rebuilds):
+        calls = []
+        real = ad._im2col
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ad, "_im2col", counting)
+        x = Tensor(np.ones((2, 4, 4)), requires_grad=True)
+        w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=weight_grad)
+        out = ad.conv2d(x, w, Tensor(np.zeros(3)), 1)
+        assert len(calls) == 1
+        backward(ad.reduce(out, "sum"))
+        assert len(calls) == 1 + rebuilds and x.grad is not None
+
+    # (C, H, W, kh, kw, stride): odd and even sizes, non-square maps,
+    # kh != kw, 1x1 kernels and maps smaller than the kernel
+    IM2COL_CASES = [(2, 5, 5, 3, 3, 1), (2, 5, 5, 3, 3, 2),
+                    (3, 6, 4, 3, 3, 1), (3, 6, 4, 3, 3, 2),
+                    (1, 7, 8, 3, 5, 1), (2, 7, 8, 5, 3, 2),
+                    (4, 6, 5, 1, 1, 1), (4, 6, 5, 1, 1, 2),
+                    (2, 1, 2, 5, 5, 1), (2, 2, 1, 7, 3, 2),
+                    (1, 1, 1, 9, 9, 2)]
+
+    @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES)
+    def test_im2col_matches_loop_reference(self, c, h, w, kh, kw, stride):
+        x = np.random.default_rng(h * 10 + w).standard_normal((c, h, w))
+        ph, pw = (kh - 1) // 2, (kw - 1) // 2
+        oh, ow = -(-h // stride), -(-w // stride)
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+        ref = np.empty((c, kh, kw, oh, ow))
+        for i in range(kh):
+            for j in range(kw):
+                ref[:, i, j] = xp[:, i:i + stride * oh:stride,
+                                  j:j + stride * ow:stride]
+        cols = ad._im2col(x, kh, kw, stride, ph, pw, oh, ow)
+        assert cols.shape == (c * kh * kw, oh * ow)
+        assert cols.dtype == ref.dtype and cols.flags.c_contiguous
+        assert cols.tobytes() == ref.tobytes()
+
     @staticmethod
     def _conv_and_grads(x, w, b, stride, g):
         """Output and input, weight and bias gradients of sum(g * conv)."""

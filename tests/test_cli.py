@@ -220,6 +220,15 @@ class TestReport:
                 for r in json.load(open(out))["rows"]}
         assert rows["Sihaeng et al."] == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_json_rejects_non_finite(self, tmp_path, value):
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        with pytest.raises(ValueError):
+            cli._write_json(str(out), {"rmse": value})
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
 
 class TestParseSize:
     def test_valid(self):
@@ -320,12 +329,16 @@ GEN_CASES = {
                                "--test-fraction"),
 }
 
+# report --ours values that are not a finite, non-negative RMSE
+REPORT_CASES = {"ours_nan": "nan", "ours_inf": "inf", "ours_negative": "-0.5"}
+
 TABLE = [("checkpoint", c, 2, "version 1" if c == "v1" else "checkpoint")
          for c in CKPT_CASES] + \
     [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
     [("flags", c, code, frag)
      for c, (_, _, code, frag) in FLAG_CASES.items()] + \
-    [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()]
+    [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
+    [("report", c, 1, "--ours") for c in REPORT_CASES]
 
 
 def _bad_checkpoint(case, color_ckpt, tmp_path):
@@ -346,6 +359,8 @@ def _argv(kind, case, pipeline, tmp_path):
         with open(bad, "w") as fh:
             json.dump(doc, fh)
         return ["eval", "--model", color_ckpt, "--manifest", bad] + out
+    if kind == "report":
+        return ["report", "--ours=" + REPORT_CASES[case]] + out
     if kind == "gen":
         return ["gen-synth", "--count", "2", "--size", "16x16",
                 "--out-dir", str(tmp_path / "g")] + GEN_CASES[case][0] + out
@@ -364,6 +379,7 @@ class TestMalformedInputs:
                        capsys):
         # an uncaught exception would escape main() and fail the test
         assert main(_argv(kind, case, pipeline, tmp_path)) == code
+        assert not list(tmp_path.glob("o.json*"))
         err = capsys.readouterr().err
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert fragment in err and err.count("\n") == 1

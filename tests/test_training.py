@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latentdepth import network
+from latentdepth import autodiff as ad
+from latentdepth import losses, network
 from latentdepth.autodiff import ShapeMismatchError, Tensor
 from latentdepth.data import synth_scene
 from latentdepth.losses import LossWeights
@@ -227,6 +228,46 @@ class TestTrainColor:
         else:
             assert calls.count("pred") == len(drawn)
             assert calls.count("target") == len(set(drawn))
+
+    def _color_error(self):
+        config = TrainConfig(stage="color", net=NET16_RGB, steps=4,
+                             batch_size=2, seed=12,
+                             weights=LossWeights(1.0, 0.02, 1.0, 0.005))
+        with pytest.raises(TrainingError) as info:
+            train_color(config, _samples(2, seed=12),
+                        DepthModel(NET16, seed=12))
+        return str(info.value)
+
+    def test_non_finite_loss_names_term_and_step(self, monkeypatch):
+        # from the third step on (batch 2) the prediction's guided features
+        # are NaN: latent is the first non-finite term
+        real = network.extract_features
+        preds = []
+
+        def poisoned(guided, y, layers=None):
+            feats = real(guided, y, layers)
+            if not y.requires_grad:
+                return feats
+            preds.append(y)
+            if len(preds) <= 4:
+                return feats
+            return [Tensor(np.full(f.shape, np.nan), requires_grad=True)
+                    for f in feats]
+
+        monkeypatch.setattr(network, "extract_features", poisoned)
+        assert self._color_error() == "non-finite loss at step 2: latent"
+
+    def test_non_finite_total_with_finite_terms(self, monkeypatch):
+        real = losses.total_loss
+        calls = []
+
+        def poisoned(*args):
+            report, loss = real(*args)
+            calls.append(loss)
+            return report, ad.scale(loss, np.inf) if len(calls) > 2 else loss
+
+        monkeypatch.setattr(losses, "total_loss", poisoned)
+        assert self._color_error() == "non-finite loss at step 1: total"
 
 
 class TestEvaluate:
