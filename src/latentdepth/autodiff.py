@@ -152,38 +152,60 @@ def relu(a):
 # ---------------------------------------------------------------------------
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
-# patch matrices above this element count switch to the offset-accumulation
-# path, which never materializes O(C*K^2*H*W) memory; below it, a conv holds
-# at most one patch matrix at a time: the forward drops it and the weight
-# gradient rebuilds it, so recorded graphs keep only their inputs
+# the im2col path holds one patch matrix at a time: the forward's, of
+# C_in*kh*kw*oh*ow elements, which it drops and the weight gradient
+# rebuilds, so recorded graphs keep only their inputs; and, when the input
+# needs a gradient, the input gradient's, of at most C_out*kh*kw*oh*ow.
+# Convs whose larger matrix would exceed this element count take the
+# offset-accumulation path, which never materializes O(C*K^2*H*W) memory
 _IM2COL_LIMIT = 1 << 24
 
 
-def _pad(x, ph, pw):
-    """A CxHxW array with ph zero rows and pw zero columns on each side."""
+def _canvas(x, hc, wc, top, left):
+    """A C x hc x wc zero array holding the CxHxW array x with its first
+    pixel at (top, left); the part of x past the far edges is dropped."""
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=DTYPE)
-    xp[:, ph:ph + h, pw:pw + w] = x
-    return xp
+    xc = np.zeros((c, hc, wc), dtype=DTYPE)
+    xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
+    return xc
 
 
-def _im2col(x, kh, kw, stride, ph, pw, oh, ow):
-    # (C, H, W, kh, kw) windows of the padded input, one per output pixel
-    # at stride 1; a single copy lays them out as (C, kh, kw, oh, ow)
+def _im2col(x, kh, kw, stride, top, left, oh, ow):
+    # (C, Hc, Wc, kh, kw) windows of x shifted by (top, left) into a zero
+    # canvas, one per output pixel at stride 1; a single copy lays them out
+    # as (C, kh, kw, oh, ow)
+    xc = _canvas(x, stride * (oh - 1) + kh, stride * (ow - 1) + kw, top, left)
     win = np.lib.stride_tricks.sliding_window_view(
-        _pad(x, ph, pw), (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        xc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
     return cols.reshape(x.shape[0] * kh * kw, oh * ow)
 
 
-def _col2im(cols, c, h, w, kh, kw, stride, ph, pw, oh, ow):
-    cols = cols.reshape(c, kh, kw, oh, ow)
-    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                cols[:, i, j]
-    return xp[:, ph:ph + h, pw:pw + w]
+def _conv_input_grad(g, weight, stride, h, w):
+    """Gradient of a "same" conv's CxHxW input from its output gradient g.
+
+    The input rows r, r + stride, ... (a phase) are reached only by the
+    kernel rows a, a + stride, ... with a = (r + pad) % stride, and likewise
+    for columns. Each phase's gradient is a stride-1 correlation of g,
+    shifted into a zero canvas, with those taps flipped and their channels
+    swapped: the transposed convolution split into sub-pixel phases."""
+    _, cin, kh, kw = weight.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    dx = np.zeros((cin, h, w), dtype=DTYPE)
+    for rh in range(min(stride, h)):
+        for rw in range(min(stride, w)):
+            taps = weight[:, :, (rh + ph) % stride::stride,
+                          (rw + pw) % stride::stride]
+            th, tw = taps.shape[2:]
+            if th == 0 or tw == 0:  # no tap reaches this phase
+                continue
+            nh, nw = -(-(h - rh) // stride), -(-(w - rw) // stride)
+            vmat = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            patches = _im2col(g, th, tw, 1, th - 1 - (rh + ph) // stride,
+                              tw - 1 - (rw + pw) // stride, nh, nw)
+            dx[:, rh::stride, rw::stride] = \
+                (vmat.reshape(cin, -1) @ patches).reshape(cin, nh, nw)
+    return dx
 
 
 def conv2d(x, weight, bias, stride=1):
@@ -213,7 +235,9 @@ def conv2d(x, weight, bias, stride=1):
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     oh, ow = -(-h // stride), -(-w // stride)
 
-    if cin * kh * kw * oh * ow <= _IM2COL_LIMIT:
+    input_grad = _GRAD_ENABLED and x.requires_grad
+    if max(cin, cout if input_grad else 0) * kh * kw * oh * ow \
+            <= _IM2COL_LIMIT:
         wmat = weight.data.reshape(cout, -1)
         out = (wmat @ _im2col(x.data, kh, kw, stride, ph, pw, oh, ow) +
                bias.data[:, None]).reshape(cout, oh, ow)
@@ -226,15 +250,13 @@ def conv2d(x, weight, bias, stride=1):
             if bias.requires_grad:
                 _accum(bias, gmat.sum(axis=1))
             if x.requires_grad:
-                dcols = wmat.T @ gmat
-                _accum(x, _col2im(dcols, cin, h, w, kh, kw, stride,
-                                  ph, pw, oh, ow))
+                _accum(x, _conv_input_grad(g, weight.data, stride, h, w))
 
         return _result(out, (x, weight, bias), bwd)
 
     # large inputs: accumulate per kernel offset instead of materializing
     # the full patch matrix
-    xp = _pad(x.data, ph, pw)
+    xp = _canvas(x.data, h + 2 * ph, w + 2 * pw, ph, pw)
     out = np.empty((cout, oh * ow), dtype=DTYPE)
     out[:] = bias.data[:, None]
     for i in range(kh):

@@ -114,4 +114,12 @@ def run_gradient_checks(seed=0, fault=None):
     y0 = target.data + _away_from_zero(rng, (1, 16, 16), margin=0.3)
     run("total_loss/prediction", objective, y0)
 
+    # conv2d w.r.t. input at stride 2, on an odd, non-square map with
+    # kh != kw; drawn last so every check above sees the same values
+    x2 = rng.standard_normal((2, 7, 6))
+    w2 = rng.standard_normal((3, 2, 5, 3)) * 0.5
+    run("conv2d/input/stride2",
+        lambda t: ad.reduce(ad.conv2d(t, Tensor(w2), Tensor(np.zeros(3)), 2),
+                            "l2sq"), x2)
+
     return checks

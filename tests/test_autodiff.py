@@ -100,23 +100,58 @@ class TestConv2d:
         sizes = [v.size for v in held if isinstance(v, np.ndarray)]
         assert sizes and patch_size not in sizes
 
-    @pytest.mark.parametrize("weight_grad,rebuilds", [(True, 1), (False, 0)])
-    def test_backward_rebuilds_only_for_weight_grad(self, monkeypatch,
-                                                    weight_grad, rebuilds):
+    @staticmethod
+    def _count_im2col(monkeypatch):
+        """Record the id of the first argument of every _im2col call."""
         calls = []
         real = ad._im2col
 
         def counting(*args):
-            calls.append(args)
+            calls.append(id(args[0]))
             return real(*args)
 
         monkeypatch.setattr(ad, "_im2col", counting)
+        return calls
+
+    @pytest.mark.parametrize("weight_grad,rebuilds", [(True, 1), (False, 0)])
+    def test_backward_rebuilds_only_for_weight_grad(self, monkeypatch,
+                                                    weight_grad, rebuilds):
+        calls = self._count_im2col(monkeypatch)
         x = Tensor(np.ones((2, 4, 4)), requires_grad=True)
         w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=weight_grad)
         out = ad.conv2d(x, w, Tensor(np.zeros(3)), 1)
-        assert len(calls) == 1
+        assert calls == [id(x.data)]
         backward(ad.reduce(out, "sum"))
-        assert len(calls) == 1 + rebuilds and x.grad is not None
+        # forward-shape patch matrices are built from the conv's input; the
+        # input gradient's patch matrices are built from the output gradient
+        assert calls[1:].count(id(x.data)) == rebuilds and x.grad is not None
+
+    def test_input_grad_patch_matrix_bounded(self, monkeypatch):
+        # C_in=1, C_out=8: the forward's patch matrix has 1*9*36 elements,
+        # the input gradient's 8*9*36; a limit between them sends the conv
+        # to the offset path only when its input needs a gradient
+        calls = self._count_im2col(monkeypatch)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 6, 6))
+        w = rng.standard_normal((8, 1, 3, 3))
+        b = rng.standard_normal(8)
+        g = rng.standard_normal((8, 6, 6))
+        ref = self._conv_and_grads(x, w, b, 1, g)
+        monkeypatch.setattr(ad, "_IM2COL_LIMIT", 1000)
+
+        del calls[:]
+        alt = self._conv_and_grads(x, w, b, 1, g)
+        assert calls == []
+        for a, r in zip(alt, ref):
+            np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
+
+        frozen = Tensor(x)
+        ad.conv2d(frozen, Tensor(w, requires_grad=True), Tensor(b), 1)
+        assert calls == [id(frozen.data)]
+        with ad.no_grad():
+            trainable = Tensor(x, requires_grad=True)
+            ad.conv2d(trainable, Tensor(w), Tensor(b), 1)
+        assert calls == [id(frozen.data), id(trainable.data)]
 
     # (C, H, W, kh, kw, stride): odd and even sizes, non-square maps,
     # kh != kw, 1x1 kernels and maps smaller than the kernel
@@ -142,6 +177,29 @@ class TestConv2d:
         assert cols.shape == (c * kh * kw, oh * ow)
         assert cols.dtype == ref.dtype and cols.flags.c_contiguous
         assert cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES + [
+        (3, 1, 6, 3, 3, 2), (2, 5, 1, 3, 5, 2), (3, 1, 4, 1, 1, 2)])
+    def test_input_grad_matches_col2im_reference(self, c, h, w, kh, kw,
+                                                 stride):
+        rng = np.random.default_rng(h * 10 + w)
+        x = rng.standard_normal((c, h, w))
+        wt = rng.standard_normal((3, c, kh, kw))
+        ph, pw = (kh - 1) // 2, (kw - 1) // 2
+        oh, ow = -(-h // stride), -(-w // stride)
+        g = rng.standard_normal((3, oh, ow))
+        # reference: the C*kh*kw x oh*ow matrix wmat.T @ gmat, scattered
+        # back into the padded input one kernel offset at a time
+        cols = (wt.reshape(3, -1).T @ g.reshape(3, -1)).reshape(
+            c, kh, kw, oh, ow)
+        xp = np.zeros((c, h + 2 * ph, w + 2 * pw))
+        for i in range(kh):
+            for j in range(kw):
+                xp[:, i:i + stride * oh:stride,
+                   j:j + stride * ow:stride] += cols[:, i, j]
+        ref = xp[:, ph:ph + h, pw:pw + w]
+        dx = self._conv_and_grads(x, wt, np.zeros(3), stride, g)[1]
+        np.testing.assert_allclose(dx, ref, rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _conv_and_grads(x, w, b, stride, g):
