@@ -152,33 +152,37 @@ def relu(a):
 # ---------------------------------------------------------------------------
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
-# the im2col path holds one patch matrix at a time: the forward's, of
-# C_in*kh*kw*oh*ow elements, which it drops and the weight gradient
-# rebuilds, so recorded graphs keep only their inputs; and, when the input
-# needs a gradient, the input gradient's, of at most C_out*kh*kw*oh*ow.
-# Convs whose larger matrix would exceed this element count take the
-# offset-accumulation path, which never materializes O(C*K^2*H*W) memory
-_IM2COL_LIMIT = 1 << 24
-
-
-def _canvas(x, hc, wc, top, left):
-    """A C x hc x wc zero array holding the CxHxW array x with its first
-    pixel at (top, left); the part of x past the far edges is dropped."""
-    c, h, w = x.shape
-    xc = np.zeros((c, hc, wc), dtype=DTYPE)
-    xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
-    return xc
+# every patch matrix is built in blocks of whole output rows of at most
+# this many elements (32 MB of float64), or of one row where a row is
+# larger, and a conv holds one block at a time. At 2^22 no training conv
+# of the benchmark workloads is split (the largest, a 64x64 width-8
+# decoder head, has 3.2 M elements); at 2^24 a 128x128 width-16 forward's
+# 21 M-element matrices would be built as two 85 MB blocks, larger than
+# any other matrix that run builds
+_PATCH_LIMIT = 1 << 22
 
 
 def _im2col(x, kh, kw, stride, top, left, oh, ow):
-    # (C, Hc, Wc, kh, kw) windows of x shifted by (top, left) into a zero
-    # canvas, one per output pixel at stride 1; a single copy lays them out
-    # as (C, kh, kw, oh, ow)
-    xc = _canvas(x, stride * (oh - 1) + kh, stride * (ow - 1) + kw, top, left)
+    """The patch matrix of the CxHxW array x, shifted by (top, left) into
+    a zero canvas that drops what lies past its far edges, in blocks:
+    yields (rows, cols) with rows a slice of the oh output rows and cols
+    the C*kh*kw x len(rows)*ow matrix of their windows, laid out as
+    (C, kh, kw, rows, ow)."""
+    c, h, w = x.shape
+    hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
+    xc = np.zeros((c, hc, wc), dtype=DTYPE)
+    xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
     win = np.lib.stride_tricks.sliding_window_view(
         xc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
-    return cols.reshape(x.shape[0] * kh * kw, oh * ow)
+    step = max(1, _PATCH_LIMIT // (c * kh * kw * ow))
+    for r0 in range(0, oh, step):
+        rows = slice(r0, min(r0 + step, oh))
+        cols = np.ascontiguousarray(win[:, rows].transpose(0, 3, 4, 1, 2))
+        # free the canvas before the caller's last GEMM, so that a
+        # single-block conv holds only its patch matrix through it
+        if rows.stop == oh:
+            del xc, win
+        yield rows, cols.reshape(c * kh * kw, -1)
 
 
 def _conv_input_grad(g, weight, stride, h, w):
@@ -200,11 +204,13 @@ def _conv_input_grad(g, weight, stride, h, w):
             if th == 0 or tw == 0:  # no tap reaches this phase
                 continue
             nh, nw = -(-(h - rh) // stride), -(-(w - rw) // stride)
-            vmat = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            patches = _im2col(g, th, tw, 1, th - 1 - (rh + ph) // stride,
-                              tw - 1 - (rw + pw) // stride, nh, nw)
-            dx[:, rh::stride, rw::stride] = \
-                (vmat.reshape(cin, -1) @ patches).reshape(cin, nh, nw)
+            vmat = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+                cin, -1)
+            phase = dx[:, rh::stride, rw::stride]
+            for rows, patches in _im2col(
+                    g, th, tw, 1, th - 1 - (rh + ph) // stride,
+                    tw - 1 - (rw + pw) // stride, nh, nw):
+                phase[:, rows] = (vmat @ patches).reshape(cin, -1, nw)
     return dx
 
 
@@ -235,62 +241,24 @@ def conv2d(x, weight, bias, stride=1):
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     oh, ow = -(-h // stride), -(-w // stride)
 
-    input_grad = _GRAD_ENABLED and x.requires_grad
-    if max(cin, cout if input_grad else 0) * kh * kw * oh * ow \
-            <= _IM2COL_LIMIT:
-        wmat = weight.data.reshape(cout, -1)
-        out = (wmat @ _im2col(x.data, kh, kw, stride, ph, pw, oh, ow) +
-               bias.data[:, None]).reshape(cout, oh, ow)
-
-        def bwd(g):
-            gmat = g.reshape(cout, -1)
-            if weight.requires_grad:
-                cols = _im2col(x.data, kh, kw, stride, ph, pw, oh, ow)
-                _accum(weight, (gmat @ cols.T).reshape(weight.shape))
-            if bias.requires_grad:
-                _accum(bias, gmat.sum(axis=1))
-            if x.requires_grad:
-                _accum(x, _conv_input_grad(g, weight.data, stride, h, w))
-
-        return _result(out, (x, weight, bias), bwd)
-
-    # large inputs: accumulate per kernel offset instead of materializing
-    # the full patch matrix
-    xp = _canvas(x.data, h + 2 * ph, w + 2 * pw, ph, pw)
+    wmat = weight.data.reshape(cout, -1)
     out = np.empty((cout, oh * ow), dtype=DTYPE)
-    out[:] = bias.data[:, None]
-    for i in range(kh):
-        for j in range(kw):
-            sl = xp[:, i:i + stride * oh:stride,
-                    j:j + stride * ow:stride].reshape(cin, -1)
-            out += weight.data[:, :, i, j] @ sl
-    out = out.reshape(cout, oh, ow)
+    for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow):
+        np.matmul(wmat, cols, out=out[:, rows.start * ow:rows.stop * ow])
+    out += bias.data[:, None]
 
-    def bwd_big(g):
+    def bwd(g):
         gmat = g.reshape(cout, -1)
+        if weight.requires_grad:
+            for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow):
+                block = gmat[:, rows.start * ow:rows.stop * ow]
+                _accum(weight, (block @ cols.T).reshape(weight.shape))
         if bias.requires_grad:
             _accum(bias, gmat.sum(axis=1))
-        if weight.requires_grad or x.requires_grad:
-            dxp = np.zeros_like(xp) if x.requires_grad else None
-            dw = np.zeros(weight.shape, dtype=DTYPE) \
-                if weight.requires_grad else None
-            for i in range(kh):
-                for j in range(kw):
-                    sl = xp[:, i:i + stride * oh:stride,
-                            j:j + stride * ow:stride].reshape(cin, -1)
-                    if dw is not None:
-                        dw[:, :, i, j] = gmat @ sl.T
-                    if dxp is not None:
-                        dxp[:, i:i + stride * oh:stride,
-                            j:j + stride * ow:stride] += \
-                            (weight.data[:, :, i, j].T @ gmat).reshape(
-                                cin, oh, ow)
-            if dw is not None:
-                _accum(weight, dw)
-            if dxp is not None:
-                _accum(x, dxp[:, ph:ph + h, pw:pw + w])
+        if x.requires_grad:
+            _accum(x, _conv_input_grad(g, weight.data, stride, h, w))
 
-    return _result(out, (x, weight, bias), bwd_big)
+    return _result(out.reshape(cout, oh, ow), (x, weight, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ channel) whose encoder features define the latent-space losses.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -342,19 +343,29 @@ def load_checkpoint(path):
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise CheckpointError("not a checkpoint file: %s" % path)
         header = _read_header(fh, size)
+        # size the payload from the header's own table before building the
+        # model: once the model's table matches it, the model is no larger
+        # than the file
+        try:
+            payload = 8 * sum(math.prod(a["shape"]) for a in header["arrays"])
+        except (TypeError, KeyError) as exc:
+            raise CheckpointError("bad checkpoint array table") from exc
+        if size - fh.tell() != payload:
+            raise CheckpointError("checkpoint payload is %d bytes, expected "
+                                  "%s" % (size - fh.tell(), payload))
         try:
             config = NetworkConfig(**header["config"])
         except (TypeError, ValueError) as exc:
             raise CheckpointError("bad checkpoint config: %s" % exc) from exc
-        model = DepthModel(config, seed=None)
+        try:
+            model = DepthModel(config, seed=None)
+        except MemoryError as exc:  # a config its own table does not match
+            raise CheckpointError("checkpoint config does not fit in "
+                                  "memory") from exc
         items = model.state_items()
         if header["arrays"] != _array_table(items):
             raise CheckpointError("checkpoint arrays do not match the model "
                                   "structure of its config")
-        payload = 8 * sum(arr.size for _, arr in items)
-        if size - fh.tell() != payload:
-            raise CheckpointError("checkpoint payload is %d bytes, expected "
-                                  "%d" % (size - fh.tell(), payload))
         for _, arr in items:
             raw = fh.read(arr.size * 8)
             arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)

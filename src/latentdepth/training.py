@@ -31,7 +31,6 @@ class TrainConfig:
     latent_layers: tuple | None = None   # None = all feature taps
     checkpoint_path: str | None = None
     loss_csv_path: str | None = None
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.stage not in ("guided", "color"):
@@ -119,9 +118,6 @@ def _run_loop(model, samples, config, batch_loss):
         opt.step()
         acc /= config.batch_size
         history.append(losses.LossReport(*(float(v) for v in acc)))
-        if config.checkpoint_every and config.checkpoint_path and \
-                (step + 1) % config.checkpoint_every == 0:
-            save_checkpoint(model, config.checkpoint_path)
     if config.checkpoint_path:
         save_checkpoint(model, config.checkpoint_path)
     if config.loss_csv_path:

@@ -68,22 +68,30 @@ class TestConv2d:
             ad.conv2d(Tensor(np.zeros((1, 4, 4))),
                       Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), 3)
 
-    def test_big_path_matches_im2col(self):
+    def test_row_blocks_match_single_block(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 9, 8))
         w = rng.standard_normal((5, 3, 3, 3))
         b = rng.standard_normal(5)
+        blocks = self._record_blocks(monkeypatch)
+        single = ad._PATCH_LIMIT
         for stride in (1, 2):
-            g = rng.standard_normal((5, -(-9 // stride), -(-8 // stride)))
-            ref = self._conv_and_grads(x, w, b, stride, g)
-            limit = ad._IM2COL_LIMIT
-            try:
-                ad._IM2COL_LIMIT = 0
-                alt = self._conv_and_grads(x, w, b, stride, g)
-            finally:
-                ad._IM2COL_LIMIT = limit
-            for a, r in zip(alt, ref):
-                np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
+            oh, ow = -(-9 // stride), -(-8 // stride)
+            g = rng.standard_normal((5, oh, ow))
+            # one block, 1-row blocks, then 2-row forward blocks with a
+            # ragged last block (oh is odd at both strides)
+            results = []
+            for limit, heights in [(single, [oh]), (1, [1] * oh),
+                                   (2 * 3 * 9 * ow, [2] * (oh // 2) + [1])]:
+                monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
+                del blocks[:]
+                results.append(self._conv_and_grads(x, w, b, stride, g))
+                # the forward's blocks, then the weight gradient's rebuild
+                assert [r.stop - r.start for src, r, _, _ in blocks
+                        if src == id(x)] == heights * 2
+            for alt in results[1:]:
+                for a, r in zip(alt, results[0]):
+                    np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
 
     def test_graph_holds_no_patch_matrix(self):
         # the patch matrix has C*kh*kw*oh*ow elements; the closure keeps
@@ -126,32 +134,44 @@ class TestConv2d:
         # input gradient's patch matrices are built from the output gradient
         assert calls[1:].count(id(x.data)) == rebuilds and x.grad is not None
 
-    def test_input_grad_patch_matrix_bounded(self, monkeypatch):
-        # C_in=1, C_out=8: the forward's patch matrix has 1*9*36 elements,
-        # the input gradient's 8*9*36; a limit between them sends the conv
-        # to the offset path only when its input needs a gradient
-        calls = self._count_im2col(monkeypatch)
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """Record (id of the source array, rows, elements, elements of one
+        output row) for every block _im2col yields."""
+        blocks = []
+        real = ad._im2col
+
+        def recording(x, kh, kw, stride, top, left, oh, ow):
+            for rows, cols in real(x, kh, kw, stride, top, left, oh, ow):
+                blocks.append((id(x), rows, cols.size,
+                               x.shape[0] * kh * kw * ow))
+                yield rows, cols
+
+        monkeypatch.setattr(ad, "_im2col", recording)
+        return blocks
+
+    def test_patch_blocks_bounded(self, monkeypatch):
+        # C_in=1, C_out=8 3x3 conv on 6x6: one forward row has 1*9*ow
+        # elements, one input-gradient row up to 8*9*ow; every block the
+        # forward, the weight-gradient rebuild and each input-gradient
+        # phase builds stays within the limit or holds one output row
+        blocks = self._record_blocks(monkeypatch)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 6, 6))
         w = rng.standard_normal((8, 1, 3, 3))
-        b = rng.standard_normal(8)
-        g = rng.standard_normal((8, 6, 6))
-        ref = self._conv_and_grads(x, w, b, 1, g)
-        monkeypatch.setattr(ad, "_IM2COL_LIMIT", 1000)
-
-        del calls[:]
-        alt = self._conv_and_grads(x, w, b, 1, g)
-        assert calls == []
-        for a, r in zip(alt, ref):
-            np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
-
-        frozen = Tensor(x)
-        ad.conv2d(frozen, Tensor(w, requires_grad=True), Tensor(b), 1)
-        assert calls == [id(frozen.data)]
-        with ad.no_grad():
-            trainable = Tensor(x, requires_grad=True)
-            ad.conv2d(trainable, Tensor(w), Tensor(b), 1)
-        assert calls == [id(frozen.data), id(trainable.data)]
+        for stride in (1, 2):
+            g = rng.standard_normal((8, 6 // stride, 6 // stride))
+            for limit in (1, 100, 200, ad._PATCH_LIMIT):
+                monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
+                del blocks[:]
+                self._conv_and_grads(x, w, np.zeros(8), stride, g)
+                heights = {True: 0, False: 0}
+                for src, rows, _, _ in blocks:
+                    heights[src == id(x)] += rows.stop - rows.start
+                # forward and rebuild each cover the output rows; the
+                # input gradient's phases together cover stride * H rows
+                assert heights == {True: 2 * 6 // stride, False: 6 * stride}
+                assert all(n <= max(limit, row) for _, _, n, row in blocks)
 
     # (C, H, W, kh, kw, stride): odd and even sizes, non-square maps,
     # kh != kw, 1x1 kernels and maps smaller than the kernel
@@ -163,7 +183,8 @@ class TestConv2d:
                     (1, 1, 1, 9, 9, 2)]
 
     @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES)
-    def test_im2col_matches_loop_reference(self, c, h, w, kh, kw, stride):
+    def test_im2col_matches_loop_reference(self, c, h, w, kh, kw, stride,
+                                           monkeypatch):
         x = np.random.default_rng(h * 10 + w).standard_normal((c, h, w))
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         oh, ow = -(-h // stride), -(-w // stride)
@@ -173,10 +194,18 @@ class TestConv2d:
             for j in range(kw):
                 ref[:, i, j] = xp[:, i:i + stride * oh:stride,
                                   j:j + stride * ow:stride]
-        cols = ad._im2col(x, kh, kw, stride, ph, pw, oh, ow)
-        assert cols.shape == (c * kh * kw, oh * ow)
-        assert cols.dtype == ref.dtype and cols.flags.c_contiguous
-        assert cols.tobytes() == ref.tobytes()
+        # one block, then one block per output row
+        for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
+            monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
+            blocks = list(ad._im2col(x, kh, kw, stride, ph, pw, oh, ow))
+            assert [r for r, _ in blocks] == [
+                slice(r0, min(r0 + step, oh)) for r0 in range(0, oh, step)]
+            for rows, cols in blocks:
+                assert cols.shape == (c * kh * kw,
+                                      (rows.stop - rows.start) * ow)
+                assert cols.dtype == ref.dtype and cols.flags.c_contiguous
+            cols = np.concatenate([cols for _, cols in blocks], axis=1)
+            assert cols.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES + [
         (3, 1, 6, 3, 3, 2), (2, 5, 1, 3, 5, 2), (3, 1, 4, 1, 1, 2)])

@@ -280,6 +280,16 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _oversized(header, payload, table=False):
+    """A config of 2^40 input channels; with table=True the arrays table
+    agrees with it."""
+    arrays = [dict(a, shape=[a["shape"][0], 1 << 40] + a["shape"][2:])
+              if table and a["name"] == "enc0.conv.weight" else a
+              for a in header["arrays"]]
+    return dict(header, config=dict(header["config"], input_channels=1 << 40),
+                arrays=arrays), payload, None
+
+
 # (header, payload) -> (header, payload, header length or None)
 CKPT_CASES = {
     "header_not_object": lambda h, p: (sorted(h), p, None),
@@ -293,6 +303,9 @@ CKPT_CASES = {
     "header_length_past_end": lambda h, p: (h, p, 1 << 40),
     "trailing_bytes": lambda h, p: (h, p + bytes(8), None),
     "v1": lambda h, p: _v1_layout(h, p) + (None,),
+    "config_oversized": _oversized,
+    "config_and_table_oversized": lambda h, p: _oversized(h, p, table=True),
+    "array_table_not_list": lambda h, p: (dict(h, arrays=3), p, None),
 }
 
 # manifest document -> malformed document
