@@ -152,13 +152,14 @@ def relu(a):
 # ---------------------------------------------------------------------------
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
-# every patch matrix is built in blocks of whole output rows of at most
-# this many elements (32 MB of float64), or of one row where a row is
-# larger, and a conv holds one block at a time. At 2^22 no training conv
-# of the benchmark workloads is split (the largest, a 64x64 width-8
-# decoder head, has 3.2 M elements); at 2^24 a 128x128 width-16 forward's
-# 21 M-element matrices would be built as two 85 MB blocks, larger than
-# any other matrix that run builds
+# every patch matrix (forward) and lowered block (backward) is built in
+# blocks of whole output rows of at most this many elements (32 MB of
+# float64), or of one row where a row is larger, and a conv holds one
+# block at a time. At 2^22 no training conv of the benchmark workloads is
+# split (the largest forward block, a 64x64 width-8 decoder head, has
+# 3.2 M elements); at 2^24 a 128x128 width-16 forward's 21 M-element
+# matrices would be built as two 85 MB blocks, larger than any other
+# matrix that run builds
 _PATCH_LIMIT = 1 << 22
 
 
@@ -185,6 +186,41 @@ def _im2col(x, kh, kw, stride, top, left, oh, ow):
         yield rows, cols.reshape(c * kh * kw, -1)
 
 
+def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
+    """Row-shared lowering (MEC, Cho & Brand 2017) of the CxHxW array x,
+    shifted by (top, left) into a zero canvas like _im2col's, in blocks:
+    yields (rows, v) with rows a slice of the oh output rows and v a
+    (len(rows), ow, kh*kw*C) view whose v[r] is the ow x kh*kw*C matrix of
+    output row rows.start + r's windows, laid out (kh, kw, C).
+
+    Each block is one contiguous copy of, per output column, the kw*C
+    wide strip of the canvas rows its output rows read: vertically
+    adjacent windows share kh - stride of their kh rows, so the copy is
+    about kh / stride times smaller than the patch matrix. A block holds
+    at most _PATCH_LIMIT elements, and so do its per_row * len(rows)
+    elements of GEMM results, unless it is one output row."""
+    c, h, w = x.shape
+    hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
+    xc = np.zeros((hc, wc, c), dtype=DTYPE)
+    xc[top:top + h, left:left + w] = x[:, :hc - top, :wc - left].transpose(
+        1, 2, 0)
+    strip, e = kw * c, xc.itemsize
+    step = max(1, min((_PATCH_LIMIT // (ow * strip) - kh) // stride + 1,
+                      _PATCH_LIMIT // per_row))
+    for r0 in range(0, oh, step):
+        rows = slice(r0, min(r0 + step, oh))
+        n = rows.stop - r0
+        span = stride * (n - 1) + kh
+        low = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+            xc[stride * r0:], (ow, span, strip),
+            (stride * c * e, wc * c * e, e)))
+        if rows.stop == oh:  # as in _im2col
+            del xc
+        yield rows, np.lib.stride_tricks.as_strided(
+            low, (n, ow, kh * strip),
+            (stride * strip * e, span * strip * e, e), writeable=False)
+
+
 def _conv_input_grad(g, weight, stride, h, w):
     """Gradient of a "same" conv's CxHxW input from its output gradient g.
 
@@ -204,13 +240,15 @@ def _conv_input_grad(g, weight, stride, h, w):
             if th == 0 or tw == 0:  # no tap reaches this phase
                 continue
             nh, nw = -(-(h - rh) // stride), -(-(w - rw) // stride)
-            vmat = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+            # taps ordered (th, tw, C_out), as the lowered windows of g
+            vmat = taps[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(
                 cin, -1)
             phase = dx[:, rh::stride, rw::stride]
-            for rows, patches in _im2col(
+            for rows, v in _lower_rows(
                     g, th, tw, 1, th - 1 - (rh + ph) // stride,
-                    tw - 1 - (rw + pw) // stride, nh, nw):
-                phase[:, rows] = (vmat @ patches).reshape(cin, -1, nw)
+                    tw - 1 - (rw + pw) // stride, nh, nw, cin * nw):
+                phase[:, rows] = np.matmul(
+                    vmat, v.transpose(0, 2, 1)).transpose(1, 0, 2)
     return dx
 
 
@@ -248,13 +286,15 @@ def conv2d(x, weight, bias, stride=1):
     out += bias.data[:, None]
 
     def bwd(g):
-        gmat = g.reshape(cout, -1)
         if weight.requires_grad:
-            for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow):
-                block = gmat[:, rows.start * ow:rows.stop * ow]
-                _accum(weight, (block @ cols.T).reshape(weight.shape))
+            # the sum over output rows r of g[:, r] @ v[r], (co, kh, kw, ci)
+            dw = sum(np.matmul(g[:, rows].transpose(1, 0, 2), v).sum(axis=0)
+                     for rows, v in _lower_rows(x.data, kh, kw, stride, ph,
+                                                pw, oh, ow, weight.size))
+            _accum(weight,
+                   dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if bias.requires_grad:
-            _accum(bias, gmat.sum(axis=1))
+            _accum(bias, g.reshape(cout, -1).sum(axis=1))
         if x.requires_grad:
             _accum(x, _conv_input_grad(g, weight.data, stride, h, w))
 

@@ -1,13 +1,38 @@
+import collections
+
 import numpy as np
 import pytest
 
 import latentdepth.autodiff as ad
+from latentdepth import verify
 from latentdepth.autodiff import (GraphError, ShapeMismatchError, Tensor,
                                   backward, finite_diff_check)
 
 
 def scalar(t):
     return t.item()
+
+
+def _extent(a):
+    """Elements of the memory the view a (nonnegative strides) spans,
+    from its first to its last element."""
+    return 1 + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) \
+        // a.itemsize
+
+
+def _loop_patches(x, kh, kw, stride):
+    """The (C, kh, kw, oh, ow) patches of a "same" conv of x, one kernel
+    offset at a time."""
+    c, h, w = x.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    oh, ow = -(-h // stride), -(-w // stride)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    ref = np.empty((c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            ref[:, i, j] = xp[:, i:i + stride * oh:stride,
+                              j:j + stride * ow:stride]
+    return ref
 
 
 class TestConv2d:
@@ -75,20 +100,24 @@ class TestConv2d:
         b = rng.standard_normal(5)
         blocks = self._record_blocks(monkeypatch)
         single = ad._PATCH_LIMIT
+        # at 288 elements a forward row holds 27 * ow, a lowered block of
+        # n rows 9 * ow * (stride * (n - 1) + 3) and its weight-gradient
+        # GEMM 135 * n: 1-row forward blocks at stride 1, 2-row blocks
+        # with a ragged last one elsewhere (oh is odd at both strides)
+        ragged = {1: ([1] * 9, [2, 2, 2, 2, 1]), 2: ([2, 2, 1], [2, 2, 1])}
         for stride in (1, 2):
             oh, ow = -(-9 // stride), -(-8 // stride)
             g = rng.standard_normal((5, oh, ow))
-            # one block, 1-row blocks, then 2-row forward blocks with a
-            # ragged last block (oh is odd at both strides)
             results = []
-            for limit, heights in [(single, [oh]), (1, [1] * oh),
-                                   (2 * 3 * 9 * ow, [2] * (oh // 2) + [1])]:
+            for limit, fwd, low in [(single, [oh], [oh]),
+                                    (1, [1] * oh, [1] * oh),
+                                    (288,) + ragged[stride]]:
                 monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
                 del blocks[:]
                 results.append(self._conv_and_grads(x, w, b, stride, g))
-                # the forward's blocks, then the weight gradient's rebuild
-                assert [r.stop - r.start for src, r, _, _ in blocks
-                        if src == id(x)] == heights * 2
+                # the forward's blocks, then the weight gradient's lowering
+                assert [blk.rows.stop - blk.rows.start for blk in blocks
+                        if blk.src == id(x)] == fwd + low
             for alt in results[1:]:
                 for a, r in zip(alt, results[0]):
                     np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12)
@@ -108,53 +137,60 @@ class TestConv2d:
         sizes = [v.size for v in held if isinstance(v, np.ndarray)]
         assert sizes and patch_size not in sizes
 
-    @staticmethod
-    def _count_im2col(monkeypatch):
-        """Record the id of the first argument of every _im2col call."""
-        calls = []
-        real = ad._im2col
-
-        def counting(*args):
-            calls.append(id(args[0]))
-            return real(*args)
-
-        monkeypatch.setattr(ad, "_im2col", counting)
-        return calls
-
     @pytest.mark.parametrize("weight_grad,rebuilds", [(True, 1), (False, 0)])
     def test_backward_rebuilds_only_for_weight_grad(self, monkeypatch,
                                                     weight_grad, rebuilds):
-        calls = self._count_im2col(monkeypatch)
+        blocks = self._record_blocks(monkeypatch)
         x = Tensor(np.ones((2, 4, 4)), requires_grad=True)
         w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=weight_grad)
         out = ad.conv2d(x, w, Tensor(np.zeros(3)), 1)
-        assert calls == [id(x.data)]
+        assert [(b.kind, b.src) for b in blocks] == [("im2col", id(x.data))]
         backward(ad.reduce(out, "sum"))
-        # forward-shape patch matrices are built from the conv's input; the
-        # input gradient's patch matrices are built from the output gradient
-        assert calls[1:].count(id(x.data)) == rebuilds and x.grad is not None
+        # the weight gradient lowers the conv's input; the input gradient
+        # lowers the output gradient; nothing in backward runs _im2col
+        assert [b.kind for b in blocks[1:]] == ["lower"] * len(blocks[1:])
+        srcs = [b.src for b in blocks[1:]]
+        assert srcs.count(id(x.data)) == rebuilds and x.grad is not None
+        assert len(srcs) == rebuilds + 1
 
-    @staticmethod
-    def _record_blocks(monkeypatch):
-        """Record (id of the source array, rows, elements, elements of one
-        output row) for every block _im2col yields."""
+    Block = collections.namedtuple(
+        "Block", "kind src rows elements row_elements gemm row_gemm")
+
+    @classmethod
+    def _record_blocks(cls, monkeypatch):
+        """Record a Block for every block _im2col (the forward) and
+        _lower_rows (the backward) yield: the id of the source array, the
+        rows, the elements of the block's windows and of one output row's,
+        and the elements of the block's GEMM results and of one row's."""
         blocks = []
-        real = ad._im2col
+        real_im2col, real_lower = ad._im2col, ad._lower_rows
 
-        def recording(x, kh, kw, stride, top, left, oh, ow):
-            for rows, cols in real(x, kh, kw, stride, top, left, oh, ow):
-                blocks.append((id(x), rows, cols.size,
-                               x.shape[0] * kh * kw * ow))
+        def im2col(x, kh, kw, stride, top, left, oh, ow):
+            for rows, cols in real_im2col(x, kh, kw, stride, top, left, oh,
+                                          ow):
+                blocks.append(cls.Block("im2col", id(x), rows, cols.size,
+                                        x.shape[0] * kh * kw * ow, 0, 0))
                 yield rows, cols
 
-        monkeypatch.setattr(ad, "_im2col", recording)
+        def lower(x, kh, kw, stride, top, left, oh, ow, per_row):
+            for rows, v in real_lower(x, kh, kw, stride, top, left, oh, ow,
+                                      per_row):
+                n = rows.stop - rows.start
+                blocks.append(cls.Block(
+                    "lower", id(x), rows, _extent(v),
+                    x.shape[0] * kh * kw * ow, n * per_row, per_row))
+                yield rows, v
+
+        monkeypatch.setattr(ad, "_im2col", im2col)
+        monkeypatch.setattr(ad, "_lower_rows", lower)
         return blocks
 
     def test_patch_blocks_bounded(self, monkeypatch):
         # C_in=1, C_out=8 3x3 conv on 6x6: one forward row has 1*9*ow
-        # elements, one input-gradient row up to 8*9*ow; every block the
-        # forward, the weight-gradient rebuild and each input-gradient
-        # phase builds stays within the limit or holds one output row
+        # elements, one lowered input-gradient row 8*9*ow; every block the
+        # forward, the weight gradient and each input-gradient phase
+        # builds, and every block's GEMM results, stay within the limit
+        # or hold one output row
         blocks = self._record_blocks(monkeypatch)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 6, 6))
@@ -166,12 +202,17 @@ class TestConv2d:
                 del blocks[:]
                 self._conv_and_grads(x, w, np.zeros(8), stride, g)
                 heights = {True: 0, False: 0}
-                for src, rows, _, _ in blocks:
-                    heights[src == id(x)] += rows.stop - rows.start
-                # forward and rebuild each cover the output rows; the
-                # input gradient's phases together cover stride * H rows
+                for b in blocks:
+                    heights[b.src == id(x)] += b.rows.stop - b.rows.start
+                # forward and weight gradient each cover the output rows;
+                # the input gradient's phases together cover stride * H
                 assert heights == {True: 2 * 6 // stride, False: 6 * stride}
-                assert all(n <= max(limit, row) for _, _, n, row in blocks)
+                for b in blocks:
+                    assert b.elements <= max(limit, b.row_elements)
+                    assert b.gemm <= max(limit, b.row_gemm)
+                if limit == 1:
+                    assert all(b.rows.stop - b.rows.start == 1
+                               for b in blocks)
 
     # (C, H, W, kh, kw, stride): odd and even sizes, non-square maps,
     # kh != kw, 1x1 kernels and maps smaller than the kernel
@@ -188,12 +229,7 @@ class TestConv2d:
         x = np.random.default_rng(h * 10 + w).standard_normal((c, h, w))
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         oh, ow = -(-h // stride), -(-w // stride)
-        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-        ref = np.empty((c, kh, kw, oh, ow))
-        for i in range(kh):
-            for j in range(kw):
-                ref[:, i, j] = xp[:, i:i + stride * oh:stride,
-                                  j:j + stride * ow:stride]
+        ref = _loop_patches(x, kh, kw, stride)
         # one block, then one block per output row
         for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
             monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
@@ -206,6 +242,37 @@ class TestConv2d:
                 assert cols.dtype == ref.dtype and cols.flags.c_contiguous
             cols = np.concatenate([cols for _, cols in blocks], axis=1)
             assert cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES)
+    def test_lower_rows_matches_loop_reference(self, c, h, w, kh, kw, stride,
+                                               monkeypatch):
+        x = np.random.default_rng(h * 10 + w).standard_normal((c, h, w))
+        ph, pw = (kh - 1) // 2, (kw - 1) // 2
+        oh, ow = -(-h // stride), -(-w // stride)
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+        # each output pixel's window, laid out (kh, kw, C)
+        ref = np.empty((oh, ow, kh, kw, c))
+        for r in range(oh):
+            for j in range(ow):
+                ref[r, j] = xp[:, stride * r:stride * r + kh,
+                               stride * j:stride * j + kw].transpose(1, 2, 0)
+        # one block, then one block per output row
+        for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
+            monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
+            blocks = list(ad._lower_rows(x, kh, kw, stride, ph, pw, oh, ow,
+                                         1))
+            assert [r for r, _ in blocks] == [
+                slice(r0, min(r0 + step, oh)) for r0 in range(0, oh, step)]
+            for rows, v in blocks:
+                n = rows.stop - rows.start
+                assert v.shape == (n, ow, kh * kw * c)
+                # BLAS-ready rows, all views of one copy shared by the
+                # rows of the block: per output column, a strip of the
+                # kw*C wide windows of every input row the block reads
+                assert v.dtype == ref.dtype and v.strides[2] == v.itemsize
+                assert _extent(v) == ow * (stride * (n - 1) + kh) * kw * c
+            v = np.concatenate([v for _, v in blocks])
+            assert v.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES + [
         (3, 1, 6, 3, 3, 2), (2, 5, 1, 3, 5, 2), (3, 1, 4, 1, 1, 2)])
@@ -229,6 +296,61 @@ class TestConv2d:
         ref = xp[:, ph:ph + h, pw:pw + w]
         dx = self._conv_and_grads(x, wt, np.zeros(3), stride, g)[1]
         np.testing.assert_allclose(dx, ref, rtol=1e-12, atol=1e-12)
+
+    def test_forward_bits_of_gradient_suite(self, monkeypatch):
+        # criterion 2 compares analytic gradients with central differences
+        # of the forward, whose roundoff follows the forward's summation
+        # order: every conv the suite runs must give the bits of one GEMM
+        # of the weights with the (C, kh, kw)-ordered patch matrix
+        convs = {}
+        real = ad.conv2d
+
+        def recording(x, weight, bias, stride=1):
+            convs.setdefault((x.shape, weight.shape, stride), (
+                x.data.copy(), weight.data.copy(), bias.data.copy()))
+            return real(x, weight, bias, stride)
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        monkeypatch.setattr(verify, "finite_diff_check",
+                            lambda f, x: f(x).item() * 0.0)
+        verify.run_gradient_checks(seed=0)
+        monkeypatch.setattr(ad, "conv2d", real)
+        assert len(convs) >= 10
+        for (_, (cout, _, kh, kw), stride), (x, w, b) in convs.items():
+            cols = _loop_patches(x, kh, kw, stride)
+            ref = w.reshape(cout, -1) @ cols.reshape(w[0].size, -1)
+            ref += b[:, None]
+            out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride).data
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k,stride", [(9, 1), (7, 2), (5, 2), (3, 2),
+                                          (3, 1)])
+    def test_grads_match_direct_sum(self, k, stride):
+        # the network's (kernel, stride) pairs on an odd, non-square map
+        h, w, p = 11, 7, (k - 1) // 2
+        oh, ow = -(-h // stride), -(-w // stride)
+        rng = np.random.default_rng(k * 10 + stride)
+        for cin, cout in [(1, 4), (4, 3)]:
+            x = rng.standard_normal((cin, h, w))
+            wt = rng.standard_normal((cout, cin, k, k))
+            g = rng.standard_normal((cout, oh, ow))
+            # d sum(g * conv) / d w[o, c, a, b] sums g[o, r, j] times the
+            # input pixel (stride*r + a - p, stride*j + b - p) over every
+            # output pixel; d / d x adds w[o, c, a, b] * g[o, r, j] there
+            xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+            dw = np.zeros_like(wt)
+            dxp = np.zeros_like(xp)
+            for r in range(oh):
+                for j in range(ow):
+                    win = (slice(None), slice(stride * r, stride * r + k),
+                           slice(stride * j, stride * j + k))
+                    dw += g[:, r, j, None, None, None] * xp[win][None]
+                    dxp[win] += np.tensordot(g[:, r, j], wt, axes=(0, 0))
+            _, dx, dwt, _ = self._conv_and_grads(x, wt, np.zeros(cout),
+                                                 stride, g)
+            np.testing.assert_allclose(dwt, dw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dx, dxp[:, p:p + h, p:p + w],
+                                       rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _conv_and_grads(x, w, b, stride, g):
