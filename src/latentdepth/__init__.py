@@ -1,16 +1,6 @@
-"""Monocular depth estimation with a guided latent-feature loss."""
+"""Monocular depth estimation with a guided latent-feature loss.
 
-from .autodiff import Tensor, backward, finite_diff_check
-from .losses import LossReport, LossWeights
-from .metrics import EvalResult, relative_improvement, rmse
-from .network import DepthModel, NetworkConfig, load_checkpoint, \
-    save_checkpoint
-
-__all__ = [
-    "Tensor", "backward", "finite_diff_check",
-    "LossReport", "LossWeights",
-    "EvalResult", "relative_improvement", "rmse",
-    "DepthModel", "NetworkConfig", "load_checkpoint", "save_checkpoint",
-]
+The package imports none of its submodules, so `latentdepth.cli` can set
+the BLAS thread cap before numpy loads."""
 
 __version__ = "0.1.0"

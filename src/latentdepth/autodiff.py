@@ -173,16 +173,17 @@ def _im2col(x, kh, kw, stride, top, left, oh, ow):
     hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
     xc = np.zeros((c, hc, wc), dtype=DTYPE)
     xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
-    win = np.lib.stride_tricks.sliding_window_view(
-        xc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    e = xc.itemsize
     step = max(1, _PATCH_LIMIT // (c * kh * kw * ow))
     for r0 in range(0, oh, step):
         rows = slice(r0, min(r0 + step, oh))
-        cols = np.ascontiguousarray(win[:, rows].transpose(0, 3, 4, 1, 2))
+        cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+            xc[:, stride * r0:], (c, kh, kw, rows.stop - r0, ow),
+            (hc * wc * e, wc * e, e, stride * wc * e, stride * e)))
         # free the canvas before the caller's last GEMM, so that a
         # single-block conv holds only its patch matrix through it
         if rows.stop == oh:
-            del xc, win
+            del xc
         yield rows, cols.reshape(c * kh * kw, -1)
 
 

@@ -78,7 +78,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--size", required=True, help="HxW, divisible by 16")
-    p.add_argument("--objects", type=int, default=2)
     p.add_argument("--per-scene", type=int, default=8,
                    help="images sharing one scene id")
     p.add_argument("--test-fraction", type=float, default=0.25)
@@ -93,7 +92,6 @@ def _build_parser():
         p.add_argument("--steps", type=int, required=True)
         p.add_argument("--batch-size", type=int, default=32)
         p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--momentum", type=float, default=0.9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--base-width", type=int, default=4)
         p.add_argument("--bottleneck-blocks", type=int, default=6)
@@ -145,8 +143,8 @@ def _build_parser():
 def _cmd_gen_synth(args):
     from . import data
 
-    if args.count < 1 or args.objects < 1 or args.per_scene < 1:
-        raise UsageError("--count, --objects and --per-scene must be >= 1")
+    if args.count < 1 or args.per_scene < 1:
+        raise UsageError("--count and --per-scene must be >= 1")
     if not 0.0 <= args.test_fraction <= 1.0:
         raise UsageError("--test-fraction must be in [0, 1], got %r"
                          % args.test_fraction)
@@ -155,7 +153,7 @@ def _cmd_gen_synth(args):
     records = []
     n_test = int(round(args.count * args.test_fraction))
     for i in range(args.count):
-        sample = data.synth_scene(args.seed * 100003 + i, h, w, args.objects)
+        sample = data.synth_scene(args.seed * 100003 + i, h, w, 2)
         rgb_path = os.path.join(args.out_dir, "synth_%04d.ppm" % i)
         depth_path = os.path.join(args.out_dir, "synth_%04d.pgm" % i)
         data.save_rgbd_pair(sample, rgb_path, depth_path)
@@ -206,7 +204,7 @@ def _cmd_train(args):
         layers = None
     config = training.TrainConfig(
         stage=stage, net=net, steps=args.steps, batch_size=args.batch_size,
-        learning_rate=args.lr, momentum=args.momentum, seed=args.seed,
+        learning_rate=args.lr, seed=args.seed,
         weights=weights, latent_layers=layers,
         checkpoint_path=args.ckpt_out, loss_csv_path=args.loss_csv)
     samples = _load_samples(args.manifest, h, w, split="train")
@@ -218,7 +216,7 @@ def _cmd_train(args):
     final = history[-1].total if history else None
     result = {"stage": stage, "steps": args.steps, "seed": args.seed,
               "batch_size": args.batch_size, "learning_rate": args.lr,
-              "momentum": args.momentum, "size": [h, w],
+              "momentum": config.momentum, "size": [h, w],
               "base_width": args.base_width,
               "final_loss": final, "checkpoint": args.ckpt_out,
               "loss_csv": args.loss_csv}
@@ -306,7 +304,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

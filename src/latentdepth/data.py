@@ -191,7 +191,7 @@ class ManifestRecord:
     split: str  # train | test
 
 
-def load_manifest(path, check_paths=True):
+def load_manifest(path):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
@@ -219,8 +219,7 @@ def load_manifest(path, check_paths=True):
         if rgb in seen_rgb:
             raise DataError("duplicate rgb path in manifest: %s" % rgb)
         seen_rgb.add(rgb)
-        if check_paths and not (os.path.exists(rgb) and
-                                os.path.exists(depth)):
+        if not (os.path.exists(rgb) and os.path.exists(depth)):
             raise DataError("manifest path missing: %s / %s" % (rgb, depth))
         records.append(ManifestRecord(rgb, depth, scene, split))
     return records

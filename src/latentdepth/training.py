@@ -90,8 +90,8 @@ def _write_loss_csv(path, history):
 
 
 def _run_loop(model, samples, config, batch_loss):
-    """Shared training loop; batch_loss maps a sample and its index in
-    samples to (LossReport, scalar Tensor)."""
+    """Shared training loop; batch_loss maps a sample to (LossReport,
+    scalar Tensor)."""
     if not samples:
         raise TrainingError("empty training dataset")
     rng = np.random.default_rng(config.seed)
@@ -104,7 +104,7 @@ def _run_loop(model, samples, config, batch_loss):
         total = None
         acc = np.zeros(5)
         for i in idxs:
-            report, loss = batch_loss(samples[int(i)], int(i))
+            report, loss = batch_loss(samples[i])
             acc += (report.data, report.latent, report.grad_image,
                     report.grad_feature, report.total)
             total = loss if total is None else ad.add(total, loss)
@@ -131,7 +131,7 @@ def train_guided(config, samples):
         raise ValueError("train_guided: config.stage must be 'guided'")
     model = DepthModel(config.net, seed=config.seed)
 
-    def batch_loss(sample, _index):
+    def batch_loss(sample):
         x = Tensor(sample.depth)
         pred, _ = model.forward(x)
         loss = losses.data_loss(pred, Tensor(sample.depth), sample.mask)
@@ -146,7 +146,8 @@ def train_guided(config, samples):
 
 def train_color(config, samples, guided):
     """Stage 2: color-to-depth against the combined objective; the guided
-    network is frozen and its target-side features are cached per sample."""
+    network is frozen and encodes both the prediction and the target of
+    every drawn sample, so nothing is kept per sample."""
     if config.stage != "color":
         raise ValueError("train_color: config.stage must be 'color'")
     if guided.config.input_h != config.net.input_h or \
@@ -160,9 +161,8 @@ def train_color(config, samples, guided):
     model = DepthModel(config.net, seed=config.seed)
     need_features = config.weights.latent > 0 or \
         config.weights.grad_feature > 0
-    target_cache = {}   # sample index -> features of its depth map
 
-    def batch_loss(sample, index):
+    def batch_loss(sample):
         pred, _ = model.forward(Tensor(sample.rgb))
         target = Tensor(sample.depth)
         fy = ft = None
@@ -170,10 +170,8 @@ def train_color(config, samples, guided):
             # through the module attribute, so a wrapped
             # network.extract_features sees every call
             fy = network.extract_features(guided, pred, config.latent_layers)
-            if index not in target_cache:
-                target_cache[index] = network.extract_features(
-                    guided, target, config.latent_layers)
-            ft = target_cache[index]
+            ft = network.extract_features(guided, target,
+                                          config.latent_layers)
         return losses.total_loss(pred, target, sample.mask, config.weights,
                                  fy, ft)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +232,18 @@ class TestReport:
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
+class TestThreadCap:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # LATENT_DEPTH_THREADS only takes effect if numpy and its BLAS
+        # load after main() applies it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, latentdepth.cli; "
+                "sys.exit('numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
+
+
 class TestParseSize:
     def test_valid(self):
         assert cli._parse_size("32x48") == (32, 48)
@@ -332,6 +346,11 @@ FLAG_CASES = {
     "layers_negative": ("color", ["--layers", "-1"], 2, "tap indices"),
     "layers_duplicate": ("color", ["--layers", "1,1"], 2, "tap indices"),
     "size_zero": ("guided", ["--size", "0x16"], 1, "--size"),
+    # past the 128 TiB address space: the allocation fails at once
+    "base_width_huge": ("guided", ["--base-width", str(2 ** 40)], 2,
+                        "Unable to allocate"),
+    "batch_size_huge": ("guided", ["--batch-size", str(2 ** 50)], 2,
+                        "Unable to allocate"),
 }
 
 # gen-synth flags -> (extra argv, exit code, message fragment)

@@ -214,7 +214,9 @@ class TestManifest:
                                             "s", "train")])
         with pytest.raises(DataError, match="missing"):
             load_manifest(path)
-        assert load_manifest(path, check_paths=False)[0].scene_id == "s"
+        for name in ("nope.ppm", "nope.pgm"):
+            (tmp_path / name).write_bytes(b"")
+        assert load_manifest(path)[0].scene_id == "s"
 
     @pytest.mark.parametrize("doc", [
         [], {}, {"records": {}}, {"records": [1]},
@@ -225,8 +227,10 @@ class TestManifest:
     def test_schema_violation_rejected(self, tmp_path, doc):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
+        for name in ("a.ppm", "a.pgm"):
+            (tmp_path / name).write_bytes(b"")
         with pytest.raises(DataError, match="manifest"):
-            load_manifest(str(path), check_paths=False)
+            load_manifest(str(path))
 
 
 class TestSynth:
