@@ -177,8 +177,8 @@ def _im2col(x, kh, kw, stride, top, left, oh, ow):
     step = max(1, _PATCH_LIMIT // (c * kh * kw * ow))
     for r0 in range(0, oh, step):
         rows = slice(r0, min(r0 + step, oh))
-        cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-            xc[:, stride * r0:], (c, kh, kw, rows.stop - r0, ow),
+        cols = np.ascontiguousarray(np.ndarray(
+            (c, kh, kw, rows.stop - r0, ow), DTYPE, xc, stride * r0 * wc * e,
             (hc * wc * e, wc * e, e, stride * wc * e, stride * e)))
         # free the canvas before the caller's last GEMM, so that a
         # single-block conv holds only its patch matrix through it
@@ -212,14 +212,15 @@ def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
         rows = slice(r0, min(r0 + step, oh))
         n = rows.stop - r0
         span = stride * (n - 1) + kh
-        low = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-            xc[stride * r0:], (ow, span, strip),
+        low = np.ascontiguousarray(np.ndarray(
+            (ow, span, strip), DTYPE, xc, stride * r0 * wc * c * e,
             (stride * c * e, wc * c * e, e)))
         if rows.stop == oh:  # as in _im2col
             del xc
-        yield rows, np.lib.stride_tricks.as_strided(
-            low, (n, ow, kh * strip),
-            (stride * strip * e, span * strip * e, e), writeable=False)
+        v = np.ndarray((n, ow, kh * strip), DTYPE, low, 0,
+                       (stride * strip * e, span * strip * e, e))
+        v.flags.writeable = False
+        yield rows, v
 
 
 def _conv_input_grad(g, weight, stride, h, w):
@@ -375,6 +376,18 @@ def bilinear_resample(img, th, tw):
     return rows[:, :, ci0] * (1 - cf_) + rows[:, :, ci1] * cf_
 
 
+def _scatter_add(dst, axis, idx, vals):
+    """np.add.at(dst, idx along axis, vals) for a nondecreasing idx, with
+    the same bits, as fancy-index adds: the r-th entry of every
+    destination goes in the r-th add, so each destination sums its
+    entries in ascending order, as np.add.at does."""
+    rank = np.arange(idx.size) - np.searchsorted(idx, idx)
+    lead = (slice(None),) * axis
+    for r in range(rank.max() + 1):
+        sel = np.flatnonzero(rank == r)
+        dst[lead + (idx[sel],)] += vals[lead + (sel,)]
+
+
 def bilinear_upsample_x2(x):
     if x.data.ndim != 3:
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
@@ -390,11 +403,11 @@ def bilinear_upsample_x2(x):
         rf_ = rf[None, :, None]
         cf_ = cf[None, None, :]
         drows = np.zeros((c, 2 * h, w), dtype=DTYPE)
-        np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf_))
-        np.add.at(drows, (slice(None), slice(None), ci1), g * cf_)
+        _scatter_add(drows, 2, ci0, g * (1.0 - cf_))
+        _scatter_add(drows, 2, ci1, g * cf_)
         dx = np.zeros((c, h, w), dtype=DTYPE)
-        np.add.at(dx, (slice(None), ri0), drows * (1.0 - rf_))
-        np.add.at(dx, (slice(None), ri1), drows * rf_)
+        _scatter_add(dx, 1, ri0, drows * (1.0 - rf_))
+        _scatter_add(dx, 1, ri1, drows * rf_)
         _accum(x, dx)
 
     return _result(bilinear_resample(x.data, 2 * h, 2 * w), (x,), bwd)
@@ -503,10 +516,23 @@ def backward(out):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    # popping drops the list's reference, and releasing a node drops its
+    # closure's references to its parents and their saved arrays, so
+    # activations and gradients are freed while backward runs; leaves
+    # keep their grads
     out.grad = np.ones((), dtype=DTYPE)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = _released
+            node._parents = ()
+
+
+def _released(g):
+    raise GraphError("backward: the graph reaches a node released by an "
+                     "earlier backward")
 
 
 # ---------------------------------------------------------------------------

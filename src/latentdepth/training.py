@@ -91,7 +91,10 @@ def _write_loss_csv(path, history):
 
 def _run_loop(model, samples, config, batch_loss):
     """Shared training loop; batch_loss maps a sample to (LossReport,
-    scalar Tensor)."""
+    scalar Tensor). Each sample's graph is built, run backward on its
+    share of the batch mean and released before the next sample's, so a
+    step holds one sample's graph; the parameter gradients add up over
+    the batch in draw order."""
     if not samples:
         raise TrainingError("empty training dataset")
     rng = np.random.default_rng(config.seed)
@@ -101,20 +104,18 @@ def _run_loop(model, samples, config, batch_loss):
     for step in range(config.steps):
         idxs = rng.integers(0, len(samples), size=config.batch_size)
         opt.zero_grad()
-        total = None
         acc = np.zeros(5)
         for i in idxs:
             report, loss = batch_loss(samples[i])
-            acc += (report.data, report.latent, report.grad_image,
-                    report.grad_feature, report.total)
-            total = loss if total is None else ad.add(total, loss)
-        total = ad.scale(total, 1.0 / config.batch_size)
-        if not np.isfinite(total.data):
-            term = next((name for name, v in zip(losses.TERMS, acc)
-                         if not np.isfinite(v)), "total")
-            raise TrainingError("non-finite loss at step %d: %s"
-                                % (step, term))
-        ad.backward(total)
+            terms = (report.data, report.latent, report.grad_image,
+                     report.grad_feature, report.total)
+            if not np.isfinite(loss.data):
+                term = next((name for name, v in zip(losses.TERMS, terms)
+                             if not np.isfinite(v)), "total")
+                raise TrainingError("non-finite loss at step %d: %s"
+                                    % (step, term))
+            acc += terms
+            ad.backward(ad.scale(loss, 1.0 / config.batch_size))
         opt.step()
         acc /= config.batch_size
         history.append(losses.LossReport(*(float(v) for v in acc)))

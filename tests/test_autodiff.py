@@ -274,6 +274,15 @@ class TestConv2d:
             v = np.concatenate([v for _, v in blocks])
             assert v.tobytes() == ref.tobytes()
 
+    def test_lower_rows_views_read_only(self, monkeypatch):
+        # rows of one block share the copy: a write through one would
+        # corrupt its neighbours' windows
+        monkeypatch.setattr(ad, "_PATCH_LIMIT", 64)
+        x = np.ones((2, 7, 5))
+        blocks = list(ad._lower_rows(x, 3, 3, 1, 1, 1, 7, 5, 1))
+        assert len(blocks) > 1
+        assert not any(v.flags.writeable for _, v in blocks)
+
     @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES + [
         (3, 1, 6, 3, 3, 2), (2, 5, 1, 3, 5, 2), (3, 1, 4, 1, 1, 2)])
     def test_input_grad_matches_col2im_reference(self, c, h, w, kh, kw,
@@ -485,6 +494,29 @@ class TestBilinearUpsample:
                 b * ad.bilinear_upsample_x2(Tensor(y)).data
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 1, 5), (5, 3, 7),
+                                       (64, 4, 4), (16, 32, 32)])
+    def test_backward_bits_match_add_at(self, shape):
+        # the transposed interpolation as np.add.at scatters; signed
+        # zeros in g must come out as np.add.at's sums from zero do
+        rng = np.random.default_rng(13)
+        c, h, w = shape
+        g = rng.standard_normal((c, 2 * h, 2 * w))
+        g[:, ::3] = -0.0
+        g[:, :, 1::4] = 0.0
+        ri0, ri1, rf = ad.half_pixel_indices(h, 2 * h)
+        ci0, ci1, cf = ad.half_pixel_indices(w, 2 * w)
+        drows = np.zeros((c, 2 * h, w))
+        np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf))
+        np.add.at(drows, (slice(None), slice(None), ci1), g * cf)
+        ref = np.zeros((c, h, w))
+        np.add.at(ref, (slice(None), ri0),
+                  drows * (1.0 - rf[None, :, None]))
+        np.add.at(ref, (slice(None), ri1), drows * rf[None, :, None])
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        ad.bilinear_upsample_x2(x)._backward_fn(g)
+        assert x.grad.tobytes() == (np.zeros(shape) + ref).tobytes()
+
 
 class TestSpatialGradients:
     def test_hand_case(self):
@@ -553,6 +585,25 @@ class TestBackward:
     def test_non_scalar_rejected(self):
         with pytest.raises(GraphError, match="scalar"):
             backward(Tensor(np.zeros(2), requires_grad=True))
+
+    def test_released_graph_keeps_only_leaf_grads(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = ad.relu(x)
+        mid = ad.scale(h, 2.0)
+        out = ad.reduce(mid, "sum")
+        backward(out)
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 2.0])
+        for node in (h, mid, out):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_root_through_released_node_rejected(self):
+        # without the check the second backward would stop at mid and
+        # leave x's grad silently short
+        x = Tensor(np.ones(3), requires_grad=True)
+        mid = ad.scale(x, 2.0)
+        backward(ad.reduce(mid, "sum"))
+        with pytest.raises(GraphError, match="released"):
+            backward(ad.reduce(mid, "l2sq"))
 
     def test_fanout_grad(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

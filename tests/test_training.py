@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -268,6 +271,81 @@ class TestTrainColor:
 
         monkeypatch.setattr(losses, "total_loss", poisoned)
         assert self._color_error() == "non-finite loss at step 1: total"
+
+
+class TestPerSampleBackward:
+    """_run_loop runs backward once per sample; the gradients of a step
+    must be those of one backward through the batch-mean loss, and no
+    sample's graph may outlive its backward."""
+
+    WEIGHTS = LossWeights(1.0, 0.02, 1.0, 0.005)
+
+    def _config(self, stage, steps=1):
+        return TrainConfig(stage=stage,
+                           net=NET16 if stage == "guided" else NET16_RGB,
+                           steps=steps, batch_size=3, seed=14,
+                           weights=self.WEIGHTS)
+
+    def _train(self, stage, samples, steps=1):
+        config = self._config(stage, steps)
+        if stage == "guided":
+            return train_guided(config, samples)[0]
+        return train_color(config, samples, DepthModel(NET16, seed=14))[0]
+
+    @pytest.mark.parametrize("stage", ["guided", "color"])
+    def test_step_grads_match_one_backward_of_the_batch(self, stage):
+        samples = _samples(2, seed=14)  # batch 3 of 2: an index repeats
+        config = self._config(stage)
+        trained = self._train(stage, samples)
+
+        guided = DepthModel(NET16, seed=14)
+        guided.freeze()
+        model = DepthModel(config.net, seed=config.seed)
+        idxs = np.random.default_rng(config.seed).integers(
+            0, len(samples), size=config.batch_size)
+        total = None
+        for i in idxs:
+            s = samples[i]
+            target = Tensor(s.depth)
+            if stage == "guided":
+                pred, _ = model.forward(Tensor(s.depth))
+                loss = losses.data_loss(pred, target, s.mask)
+            else:
+                pred, _ = model.forward(Tensor(s.rgb))
+                _, loss = losses.total_loss(
+                    pred, target, s.mask, self.WEIGHTS,
+                    network.extract_features(guided, pred),
+                    network.extract_features(guided, target))
+            total = loss if total is None else ad.add(total, loss)
+        ad.backward(ad.scale(total, 1.0 / config.batch_size))
+
+        assert all(p.grad is not None for p in model.parameters())
+        assert [p.grad.tobytes() for p in trained.parameters()] == \
+            [p.grad.tobytes() for p in model.parameters()]
+
+    @pytest.mark.parametrize("stage", ["guided", "color"])
+    def test_previous_prediction_freed_before_next_forward(
+            self, stage, monkeypatch):
+        # reference counting alone must free a sample's graph: the
+        # collector is off, so a cycle through the graph would keep it.
+        # A live prediction Tensor holds its array, so a dead array
+        # means a dead Tensor
+        real = DepthModel.forward
+        preds = []
+
+        def forward(model, x):
+            assert all(ref() is None for ref in preds)
+            pred, taps = real(model, x)
+            preds.append(weakref.ref(pred.data))
+            return pred, taps
+
+        monkeypatch.setattr(DepthModel, "forward", forward)
+        gc.disable()
+        try:
+            self._train(stage, _samples(2, seed=15), steps=2)
+        finally:
+            gc.enable()
+        assert len(preds) == 6
 
 
 class TestEvaluate:
