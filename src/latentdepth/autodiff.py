@@ -40,8 +40,7 @@ class no_grad:
 class Tensor:
     """Dense array with an optional gradient slot and a recorded parent op."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -49,7 +48,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward_fn = None
-        self._backward_done = False
 
     @property
     def shape(self):
@@ -492,10 +490,6 @@ def backward(out):
     if out.data.shape != ():
         raise GraphError("backward: output must be scalar, got shape %s"
                          % (out.shape,))
-    if out._backward_done:
-        raise GraphError("backward: repeated backward on the same graph "
-                         "without grad reset")
-    out._backward_done = True
     if not out.requires_grad:
         return
 
@@ -531,8 +525,8 @@ def backward(out):
 
 
 def _released(g):
-    raise GraphError("backward: the graph reaches a node released by an "
-                     "earlier backward")
+    raise GraphError("backward: repeated backward reaches a node released "
+                     "by an earlier backward")
 
 
 # ---------------------------------------------------------------------------

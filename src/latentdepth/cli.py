@@ -216,7 +216,7 @@ def _cmd_train(args):
     final = history[-1].total if history else None
     result = {"stage": stage, "steps": args.steps, "seed": args.seed,
               "batch_size": args.batch_size, "learning_rate": args.lr,
-              "momentum": config.momentum, "size": [h, w],
+              "momentum": training.MOMENTUM, "size": [h, w],
               "base_width": args.base_width,
               "final_loss": final, "checkpoint": args.ckpt_out,
               "loss_csv": args.loss_csv}

@@ -2,27 +2,26 @@
 and gradient-consistency terms at image and feature level."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError
 
-# the loss terms in LossReport order; LossWeights fields carry the same names
-TERMS = ("data", "latent", "grad_image", "grad_feature")
-CSV_HEADER = "step,data,latent,grad_image,grad_feature,total"
-
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Per-term weights; the field order is the summation order of the
+    total."""
     data: float = 1.0
     latent: float = 1.0
     grad_image: float = 1.0
     grad_feature: float = 1.0
 
     def __post_init__(self):
-        vals = (self.data, self.latent, self.grad_image, self.grad_feature)
+        vals = astuple(self)
         if not all(math.isfinite(v) and v >= 0 for v in vals):
             raise ValueError("LossWeights: weights must be finite and "
                              "nonnegative")
@@ -31,18 +30,14 @@ class LossWeights:
                              "positive")
 
 
-@dataclass
-class LossReport:
+class LossReport(NamedTuple):
+    """Term values of one loss evaluation, the LossWeights fields then the
+    total; the field order is the loss CSV's column order."""
     data: float
     latent: float
     grad_image: float
     grad_feature: float
     total: float
-
-    def csv_row(self, step):
-        return "%d,%r,%r,%r,%r,%r" % (step, self.data, self.latent,
-                                      self.grad_image, self.grad_feature,
-                                      self.total)
 
 
 def data_loss(y, target, mask):
@@ -122,24 +117,23 @@ def feature_gradient_loss(fy, ft):
 def total_loss(y, target, mask, weights, fy, ft):
     """Weighted combination; returns (LossReport, scalar Tensor).
 
-    fy and ft are the frozen network's feature lists of y and target; they
-    are read only when a feature-based weight is positive. The mask applies
-    to the data term only.
+    A term is computed only when its weight is positive and reports 0.0
+    otherwise, so fy and ft, the frozen network's feature lists of y and
+    target, are read only when a feature-based weight is positive. The mask
+    applies to the data term only.
     """
-    terms = {"data": data_loss(y, target, mask),
-             "grad_image": image_gradient_loss(y, target),
-             "latent": None, "grad_feature": None}
-    if weights.latent > 0 or weights.grad_feature > 0:
-        terms["latent"] = latent_loss(fy, ft)
-        terms["grad_feature"] = feature_gradient_loss(fy, ft)
-
+    term_fns = {"data": lambda: data_loss(y, target, mask),
+                "latent": lambda: latent_loss(fy, ft),
+                "grad_image": lambda: image_gradient_loss(y, target),
+                "grad_feature": lambda: feature_gradient_loss(fy, ft)}
     total = None
-    for name in TERMS:
-        lam = getattr(weights, name)
-        if terms[name] is None or lam == 0:
+    values = []
+    for name, lam in asdict(weights).items():
+        if lam == 0:
+            values.append(0.0)
             continue
-        part = ad.scale(terms[name], lam)
+        term = term_fns[name]()
+        values.append(term.item())
+        part = ad.scale(term, lam)
         total = part if total is None else ad.add(total, part)
-
-    values = [0.0 if terms[n] is None else terms[n].item() for n in TERMS]
     return LossReport(*values, total=total.item()), total

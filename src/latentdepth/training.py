@@ -13,6 +13,11 @@ from .autodiff import ShapeMismatchError, Tensor
 from .losses import LossWeights
 from .network import N_TAPS, DepthModel, NetworkConfig, save_checkpoint
 
+MOMENTUM = 0.9
+# the guided stage reconstructs depth by masked L1 alone, whatever the
+# config's weights
+GUIDED_WEIGHTS = LossWeights(1.0, 0.0, 0.0, 0.0)
+
 
 class TrainingError(RuntimeError):
     pass
@@ -25,7 +30,6 @@ class TrainConfig:
     steps: int
     batch_size: int = 32
     learning_rate: float = 0.01
-    momentum: float = 0.9
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     latent_layers: tuple | None = None   # None = all feature taps
@@ -37,8 +41,6 @@ class TrainConfig:
             raise ValueError("TrainConfig: stage must be guided or color")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("TrainConfig: bad batch size or step count")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("TrainConfig: momentum must be in [0, 1)")
         if not (math.isfinite(self.learning_rate) and
                 self.learning_rate > 0):
             raise ValueError("TrainConfig: learning rate must be positive "
@@ -84,9 +86,9 @@ class SgdOptimizer:
 
 def _write_loss_csv(path, history):
     with open(path, "w") as fh:
-        fh.write(losses.CSV_HEADER + "\n")
+        fh.write(",".join(("step",) + losses.LossReport._fields) + "\n")
         for step, report in enumerate(history):
-            fh.write(report.csv_row(step) + "\n")
+            fh.write(",".join([str(step)] + [repr(v) for v in report]) + "\n")
 
 
 def _run_loop(model, samples, config, batch_loss):
@@ -98,27 +100,23 @@ def _run_loop(model, samples, config, batch_loss):
     if not samples:
         raise TrainingError("empty training dataset")
     rng = np.random.default_rng(config.seed)
-    opt = SgdOptimizer(model.parameters(), config.learning_rate,
-                       config.momentum)
+    opt = SgdOptimizer(model.parameters(), config.learning_rate, MOMENTUM)
     history = []
     for step in range(config.steps):
         idxs = rng.integers(0, len(samples), size=config.batch_size)
         opt.zero_grad()
-        acc = np.zeros(5)
+        acc = np.zeros(len(losses.LossReport._fields))
         for i in idxs:
             report, loss = batch_loss(samples[i])
-            terms = (report.data, report.latent, report.grad_image,
-                     report.grad_feature, report.total)
             if not np.isfinite(loss.data):
-                term = next((name for name, v in zip(losses.TERMS, terms)
+                term = next((name for name, v in zip(report._fields, report)
                              if not np.isfinite(v)), "total")
                 raise TrainingError("non-finite loss at step %d: %s"
                                     % (step, term))
-            acc += terms
+            acc += report
             ad.backward(ad.scale(loss, 1.0 / config.batch_size))
         opt.step()
-        acc /= config.batch_size
-        history.append(losses.LossReport(*(float(v) for v in acc)))
+        history.append(losses.LossReport(*(acc / config.batch_size).tolist()))
     if config.checkpoint_path:
         save_checkpoint(model, config.checkpoint_path)
     if config.loss_csv_path:
@@ -135,11 +133,8 @@ def train_guided(config, samples):
     def batch_loss(sample):
         x = Tensor(sample.depth)
         pred, _ = model.forward(x)
-        loss = losses.data_loss(pred, Tensor(sample.depth), sample.mask)
-        val = loss.item()
-        report = losses.LossReport(data=val, latent=0.0, grad_image=0.0,
-                                   grad_feature=0.0, total=val)
-        return report, loss
+        return losses.total_loss(pred, Tensor(sample.depth), sample.mask,
+                                 GUIDED_WEIGHTS, None, None)
 
     history = _run_loop(model, samples, config, batch_loss)
     return model, history

@@ -17,17 +17,14 @@ def _away_from_zero(rng, shape, margin=0.2):
     return x * rng.choice([-1.0, 1.0], shape)
 
 
-def run_gradient_checks(seed=0, fault=None):
+def run_gradient_checks(seed=0):
     """Run every check at one seed; returns a list of
-    {name, max_rel_error, passed} dicts. fault names a check whose
-    reported error is inflated (fixture for exit-code tests only)."""
+    {name, max_rel_error, passed} dicts."""
     rng = np.random.default_rng(seed)
     checks = []
 
     def run(name, f, x):
         err = finite_diff_check(f, Tensor(x))
-        if fault == name:
-            err += 1.0
         checks.append({"name": name, "max_rel_error": err,
                        "passed": err < TOLERANCE})
 

@@ -190,9 +190,16 @@ class TestGradcheck:
     def test_injected_fault_exits_three(self, tmp_path, monkeypatch,
                                         capsys):
         real = verify.run_gradient_checks
-        monkeypatch.setattr(verify, "run_gradient_checks",
-                            lambda seed=0: real(seed=seed,
-                                                fault="conv2d/input"))
+
+        def faulty(seed=0):
+            checks = real(seed=seed)
+            for c in checks:
+                if c["name"] == "conv2d/input":
+                    c["max_rel_error"] += 1.0
+                    c["passed"] = c["max_rel_error"] < verify.TOLERANCE
+            return checks
+
+        monkeypatch.setattr(verify, "run_gradient_checks", faulty)
         out = str(tmp_path / "gc.json")
         rc = main(["gradcheck", "--out", out])
         assert rc == 3

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import latentdepth.autodiff as ad
+from latentdepth import losses
 from latentdepth.autodiff import ShapeMismatchError, Tensor, finite_diff_check
-from latentdepth.losses import (LossReport, LossWeights, data_loss,
+from latentdepth.losses import (LossWeights, data_loss,
                                 feature_gradient_loss, image_gradient_loss,
                                 latent_loss, total_loss)
 from latentdepth.network import DepthModel, NetworkConfig, extract_features
@@ -203,15 +204,32 @@ class TestTotalLoss:
         assert (report.data, report.latent, report.grad_image,
                 report.grad_feature) == (0.0, 0.0, 0.0, 0.0)
 
-    def test_feature_terms_skipped_when_unweighted(self):
-        # feature lists are not read: None in their place is accepted
+    def test_feature_terms_skipped_when_unweighted(self, monkeypatch):
+        # an unweighted term is never built and reports 0.0; feature lists
+        # are not read, so None in their place is accepted
         rng = np.random.default_rng(12)
         y = Tensor(rng.random((1, 4, 4)))
         t = Tensor(rng.random((1, 4, 4)))
-        report, _ = total_loss(y, t, np.ones((4, 4), bool),
-                               LossWeights(latent=0.0, grad_feature=0.0),
-                               None, None)
-        assert report.latent == 0.0 and report.grad_feature == 0.0
+        built = []
+        for term, fn in [("data", "data_loss"), ("latent", "latent_loss"),
+                         ("grad_image", "image_gradient_loss"),
+                         ("grad_feature", "feature_gradient_loss")]:
+            def counting(*args, term=term, real=getattr(losses, fn)):
+                built.append(term)
+                return real(*args)
+            monkeypatch.setattr(losses, fn, counting)
+        for zeroed in [("latent", "grad_feature"),
+                       ("data", "latent", "grad_feature"),
+                       ("latent", "grad_image", "grad_feature")]:
+            built.clear()
+            report, total = total_loss(
+                y, t, np.ones((4, 4), bool),
+                LossWeights(**{name: 0.0 for name in zeroed}), None, None)
+            weighted = [n for n in report._fields[:-1] if n not in zeroed]
+            assert built == weighted
+            assert all(getattr(report, n) == 0.0 for n in zeroed)
+            assert all(getattr(report, n) > 0.0 for n in weighted)
+            assert report.total == total.item()
 
     def test_finite_diff_wrt_prediction(self):
         extract = self._setup(13)
@@ -230,14 +248,3 @@ class TestTotalLoss:
             return total_loss(y, t, mask, w, extract(y), ft)[1]
 
         assert finite_diff_check(f, Tensor(y0)) < 1e-4
-
-
-class TestLossReport:
-    def test_csv_row_round_trips_floats(self):
-        r = LossReport(data=1.0 / 3.0, latent=2.5e-17, grad_image=0.1,
-                       grad_feature=7.0, total=1e300)
-        fields = r.csv_row(12).split(",")
-        assert fields[0] == "12"
-        vals = [float(v) for v in fields[1:]]
-        assert vals == [r.data, r.latent, r.grad_image, r.grad_feature,
-                        r.total]

@@ -11,8 +11,9 @@ from latentdepth.data import synth_scene
 from latentdepth.losses import LossWeights
 from latentdepth.network import DepthModel, NetworkConfig, save_checkpoint
 from latentdepth.training import (SgdOptimizer, TrainConfig, TrainingError,
-                                  constant_predictor_rmse, evaluate, sgd_step,
-                                  train_color, train_guided)
+                                  _write_loss_csv, constant_predictor_rmse,
+                                  evaluate, sgd_step, train_color,
+                                  train_guided)
 
 NET16 = NetworkConfig(input_channels=1, base_width=2, bottleneck_blocks=1,
                       input_h=16, input_w=16)
@@ -84,8 +85,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="stage"):
             TrainConfig(stage="finetune", net=NET16, steps=1)
-        with pytest.raises(ValueError, match="momentum"):
-            TrainConfig(stage="guided", net=NET16, steps=1, momentum=1.0)
         for lr in (0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning rate"):
                 TrainConfig(stage="guided", net=NET16, steps=1,
@@ -149,6 +148,19 @@ class TestTrainGuided:
         assert float(lines[1].split(",")[5]) == history[0].total
         from latentdepth.network import load_checkpoint
         assert load_checkpoint(ckpt).config == NET16
+
+
+class TestLossCsv:
+    def test_round_trips_floats(self, tmp_path):
+        report = losses.LossReport(data=1.0 / 3.0, latent=2.5e-17,
+                                   grad_image=0.1, grad_feature=7.0,
+                                   total=1e300)
+        path = tmp_path / "loss.csv"
+        _write_loss_csv(str(path), [report])
+        _, row = path.read_text().splitlines()
+        fields = row.split(",")
+        assert fields[0] == "0"
+        assert losses.LossReport(*map(float, fields[1:])) == report
 
 
 class TestTrainColor:
