@@ -9,6 +9,9 @@ broadcasting anywhere, shape agreement is always explicit.
 import numpy as np
 
 DTYPE = np.float64
+BN_EPS = 1e-5     # batch_norm2d's variance offset
+FD_EPS = 1e-6     # finite_diff_check's central-difference step
+FD_FLOOR = 1e-6   # finite_diff_check's least relative-error denominator
 
 
 class ShapeMismatchError(ValueError):
@@ -304,15 +307,13 @@ def conv2d(x, weight, bias, stride=1):
 # ---------------------------------------------------------------------------
 # per-sample normalization
 
-def batch_norm2d(x, gamma, beta, eps):
+def batch_norm2d(x, gamma, beta):
     """Per-channel normalization of one CxHxW sample by its own statistics
     (instance norm), then scale by gamma and shift by beta.
 
     A channel with a single element (a 1x1 map) has no usable statistics
-    and is normalized with mean 0 and variance 1: x / sqrt(1 + eps).
+    and is normalized with mean 0 and variance 1: x / sqrt(1 + BN_EPS).
     """
-    if eps <= 0:
-        raise ValueError("batch_norm2d: eps must be positive")
     if x.data.ndim != 3 or x.data.size == 0:
         raise ShapeMismatchError("batch_norm2d: input must be a nonempty "
                                  "CxHxW, got %s" % (x.shape,))
@@ -327,7 +328,7 @@ def batch_norm2d(x, gamma, beta, eps):
         mean, var = np.zeros(c), np.ones(c)
     else:
         mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
     xhat = (x.data - mean.reshape(bshape)) * inv_std
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
@@ -532,7 +533,7 @@ def _released(g):
 # ---------------------------------------------------------------------------
 # finite-difference gradient checker
 
-def finite_diff_check(f, x, eps=1e-6, floor=1e-6):
+def finite_diff_check(f, x):
     """Max relative error between analytic grad of f at x and central
     differences. f maps a Tensor to a scalar Tensor and must be pure."""
     probe = Tensor(x.data.copy(), requires_grad=True)
@@ -545,11 +546,11 @@ def finite_diff_check(f, x, eps=1e-6, floor=1e-6):
     base = x.data.copy()
     for i in range(base.size):
         bumped = base.reshape(-1).copy()
-        bumped[i] += eps
+        bumped[i] += FD_EPS
         hi = f(Tensor(bumped.reshape(base.shape))).item()
-        bumped[i] -= 2 * eps
+        bumped[i] -= 2 * FD_EPS
         lo = f(Tensor(bumped.reshape(base.shape))).item()
-        flat[i] = (hi - lo) / (2 * eps)
+        flat[i] = (hi - lo) / (2 * FD_EPS)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), FD_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -23,14 +23,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_size(text):
+    from .network import check_input_size
+
     try:
-        h, w = text.lower().split("x")
-        h, w = int(h), int(w)
+        h, w = (int(t) for t in text.lower().split("x"))
     except ValueError:
         raise UsageError("--size must be HxW, got %r" % text)
-    if min(h, w) < 16 or h % 16 != 0 or w % 16 != 0:
-        raise UsageError("--size dims must be at least 16 and divisible by "
-                         "16, got %s" % text)
+    try:
+        check_input_size(h, w)
+    except ValueError as exc:
+        raise UsageError("--size: %s" % exc)
     return h, w
 
 
@@ -78,8 +80,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--size", required=True, help="HxW, divisible by 16")
-    p.add_argument("--per-scene", type=int, default=8,
-                   help="images sharing one scene id")
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out", required=True, help="JSON result path")
@@ -143,8 +143,8 @@ def _build_parser():
 def _cmd_gen_synth(args):
     from . import data
 
-    if args.count < 1 or args.per_scene < 1:
-        raise UsageError("--count and --per-scene must be >= 1")
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     if not 0.0 <= args.test_fraction <= 1.0:
         raise UsageError("--test-fraction must be in [0, 1], got %r"
                          % args.test_fraction)
@@ -157,9 +157,9 @@ def _cmd_gen_synth(args):
         rgb_path = os.path.join(args.out_dir, "synth_%04d.ppm" % i)
         depth_path = os.path.join(args.out_dir, "synth_%04d.pgm" % i)
         data.save_rgbd_pair(sample, rgb_path, depth_path)
+        # each image is an independent seeded scene
         records.append(data.ManifestRecord(
-            rgb_path, depth_path,
-            scene_id="scene%03d" % (i // args.per_scene),
+            rgb_path, depth_path, scene_id="scene%04d" % i,
             split="test" if i >= args.count - n_test else "train"))
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     data.save_manifest(manifest_path, records, relative_to=args.out_dir)
@@ -178,7 +178,7 @@ def _load_samples(manifest_path, h, w, split=None):
         records = [r for r in records if r.split == split]
     samples = []
     for rec in records:
-        s = data.load_rgbd_pair(rec.rgb_path, rec.depth_path, rec.scene_id)
+        s = data.load_rgbd_pair(rec.rgb_path, rec.depth_path)
         samples.append(data.preprocess(s, h, w))
     return samples
 
@@ -194,19 +194,18 @@ def _cmd_train(args):
                         base_width=args.base_width,
                         bottleneck_blocks=args.bottleneck_blocks,
                         input_h=h, input_w=w)
+    objective = {}
     if stage == "color":
-        weights = losses.LossWeights(data=args.w_data, latent=args.w_latent,
-                                     grad_image=args.w_grad_image,
-                                     grad_feature=args.w_grad_feature)
-        layers = _parse_layers(args.layers) if args.layers else None
-    else:
-        weights = losses.LossWeights()
-        layers = None
+        objective["weights"] = losses.LossWeights(
+            data=args.w_data, latent=args.w_latent,
+            grad_image=args.w_grad_image, grad_feature=args.w_grad_feature)
+        if args.layers:
+            objective["latent_layers"] = _parse_layers(args.layers)
     config = training.TrainConfig(
         stage=stage, net=net, steps=args.steps, batch_size=args.batch_size,
         learning_rate=args.lr, seed=args.seed,
-        weights=weights, latent_layers=layers,
-        checkpoint_path=args.ckpt_out, loss_csv_path=args.loss_csv)
+        checkpoint_path=args.ckpt_out, loss_csv_path=args.loss_csv,
+        **objective)
     samples = _load_samples(args.manifest, h, w, split="train")
     if stage == "guided":
         model, history = training.train_guided(config, samples)
@@ -240,8 +239,6 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    import numpy as np
-
     from . import data
     from .autodiff import Tensor, no_grad
     from .network import load_checkpoint
@@ -249,8 +246,7 @@ def _cmd_predict(args):
     model = load_checkpoint(args.model)
     with no_grad():
         pred, _ = model.forward(Tensor(data.load_rgb(args.rgb)))
-    mm = np.clip(np.rint(pred.data[0] * 1000.0), 0, 65535).astype(np.uint16)
-    data.write_pgm16(args.depth_out, mm)
+    data.write_pgm16(args.depth_out, data.depth_to_mm(pred.data[0]))
     _write_json(args.out, {"depth_map": args.depth_out,
                            "min_m": float(pred.data.min()),
                            "max_m": float(pred.data.max())})

@@ -110,18 +110,6 @@ class RgbdSample:
     rgb: np.ndarray     # (3, H, W) float64 in [0, 1]
     depth: np.ndarray   # (1, H, W) float64 meters
     mask: np.ndarray    # (H, W) bool, True = valid
-    scene_id: str
-
-    def validate(self):
-        if self.rgb.shape[1:] != self.depth.shape[1:] or \
-                self.mask.shape != self.rgb.shape[1:]:
-            raise DimensionMismatchError("sample arrays disagree: rgb %s, "
-                                         "depth %s, mask %s"
-                                         % (self.rgb.shape, self.depth.shape,
-                                            self.mask.shape))
-        if np.any(self.depth[0][self.mask] < 0):
-            raise DataError("negative depth at valid pixels")
-        return self
 
 
 def load_rgb(path):
@@ -129,7 +117,7 @@ def load_rgb(path):
     return read_ppm(path).astype(np.float64).transpose(2, 0, 1) / 255.0
 
 
-def load_rgbd_pair(rgb_path, depth_path, scene_id=""):
+def load_rgbd_pair(rgb_path, depth_path):
     rgb = load_rgb(rgb_path)
     depth_raw = read_pgm16(depth_path)
     if rgb.shape[1:] != depth_raw.shape:
@@ -139,16 +127,19 @@ def load_rgbd_pair(rgb_path, depth_path, scene_id=""):
                                         depth_raw.shape[1]))
     depth = depth_raw.astype(np.float64)[None] / 1000.0
     mask = depth_raw > 0
-    return RgbdSample(rgb=rgb, depth=depth, mask=mask,
-                      scene_id=scene_id).validate()
+    return RgbdSample(rgb=rgb, depth=depth, mask=mask)
+
+
+def depth_to_mm(depth):
+    """Meters to the PGM encoding: rounded, clipped uint16 millimeters."""
+    return np.clip(np.rint(depth * 1000.0), 0, 65535).astype(np.uint16)
 
 
 def save_rgbd_pair(sample, rgb_path, depth_path):
     rgb8 = np.clip(np.rint(sample.rgb * 255.0), 0, 255).astype(np.uint8)
     write_ppm(rgb_path, rgb8.transpose(1, 2, 0))
-    mm = np.clip(np.rint(sample.depth[0] * 1000.0), 0, 65535)
-    mm = np.where(sample.mask, mm, 0).astype(np.uint16)
-    write_pgm16(depth_path, mm)
+    write_pgm16(depth_path,
+                np.where(sample.mask, depth_to_mm(sample.depth[0]), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +153,6 @@ def _nearest_indices(n, tn):
 def preprocess(sample, target_h, target_w):
     """Resize: RGB bilinearly, depth and mask by nearest neighbor so no
     depth value is invented across boundaries."""
-    if target_h % 16 != 0 or target_w % 16 != 0:
-        raise DataError("target dims must be divisible by 16, got %dx%d"
-                        % (target_h, target_w))
     h, w = sample.mask.shape
     if target_h > h or target_w > w:
         raise DataError("target %dx%d larger than source %dx%d"
@@ -176,8 +164,7 @@ def preprocess(sample, target_h, target_w):
     return RgbdSample(
         rgb=bilinear_resample(sample.rgb, target_h, target_w),
         depth=sample.depth[:, ri][:, :, ci],
-        mask=sample.mask[ri][:, ci],
-        scene_id=sample.scene_id).validate()
+        mask=sample.mask[ri][:, ci])
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +263,6 @@ def synth_scene(seed, h, w, n_objects):
     plus near-depth rectangles, nearest surface wins. Shading is depth
     correlated (green channel encodes depth exactly) so the color-to-depth
     mapping is learnable; mask is all-true."""
-    if h % 16 != 0 or w % 16 != 0:
-        raise DataError("synth scene dims must be divisible by 16, got %dx%d"
-                        % (h, w))
     bg_depth, rects = synth_surfaces(seed, h, w, n_objects)
     depth = bg_depth.copy()
     albedo = np.full((3, h, w), 0.9)
@@ -295,5 +279,4 @@ def synth_scene(seed, h, w, n_objects):
     rgb[2] = shade * albedo[2]
     rgb = np.clip(rgb, 0.0, 1.0)
     return RgbdSample(rgb=rgb, depth=depth[None].copy(),
-                      mask=np.ones((h, w), dtype=bool),
-                      scene_id="synth-%d" % seed).validate()
+                      mask=np.ones((h, w), dtype=bool))

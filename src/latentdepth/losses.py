@@ -41,18 +41,15 @@ class LossReport(NamedTuple):
 
 
 def data_loss(y, target, mask):
-    """Mean absolute error over valid pixels."""
+    """Mean absolute error over valid pixels; y is CxHxW, mask HxW."""
     if y.shape != target.shape:
         raise ShapeMismatchError("data_loss: shape %s vs %s"
                                  % (y.shape, target.shape))
     m = np.asarray(mask, dtype=bool)
-    if m.shape != y.shape:
-        if m.shape == y.shape[1:] and y.data.ndim == 3:
-            m = m[None]
-            m = np.broadcast_to(m, y.shape)
-        else:
-            raise ShapeMismatchError("data_loss: mask shape %s vs %s"
-                                     % (m.shape, y.shape))
+    if y.data.ndim != 3 or m.shape != y.shape[1:]:
+        raise ShapeMismatchError("data_loss: mask shape %s vs %s"
+                                 % (m.shape, y.shape))
+    m = np.broadcast_to(m, y.shape)
     n_valid = int(m.sum())
     if n_valid == 0:
         raise ValueError("data_loss: mask has no valid pixels")

@@ -24,7 +24,8 @@ class EvalResult:
 
 
 def rmse(pairs):
-    """Pooled root mean squared error over (prediction, truth, mask) pairs.
+    """Pooled root mean squared error over (prediction, truth, mask) pairs,
+    with prediction and truth CxHxW and mask HxW.
 
     The divisor is the total valid-pixel count across the whole set, not
     the image count; accumulation order is the given pair order.
@@ -38,12 +39,9 @@ def rmse(pairs):
         m = np.asarray(mask, dtype=bool)
         if y.shape != target.shape:
             raise ValueError("rmse: shape %s vs %s" % (y.shape, target.shape))
-        if m.shape != y.shape:
-            if y.ndim == 3 and m.shape == y.shape[1:]:
-                m = np.broadcast_to(m[None], y.shape)
-            else:
-                raise ValueError("rmse: mask shape %s vs %s"
-                                 % (m.shape, y.shape))
+        if y.ndim != 3 or m.shape != y.shape[1:]:
+            raise ValueError("rmse: mask shape %s vs %s" % (m.shape, y.shape))
+        m = np.broadcast_to(m, y.shape)
         diff = (y - target)[m]
         sq_sum += float(np.sum(diff * diff))
         n_valid += int(m.sum())

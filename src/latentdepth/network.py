@@ -19,7 +19,14 @@ ENCODER_KERNELS = (9, 7, 5, 3)
 BOTTLENECK_KERNEL = 3
 # feature taps: the four encoder stage outputs plus the deepest latent
 N_TAPS = len(ENCODER_KERNELS) + 1
-BN_EPS = 1e-5
+
+
+def check_input_size(h, w):
+    """The network's size rule: four stride-2 stages need input dims that
+    are at least 16 and divisible by 16."""
+    if min(h, w) < 16 or h % 16 != 0 or w % 16 != 0:
+        raise ValueError("input dims must be at least 16 and divisible by "
+                         "16, got %dx%d" % (h, w))
 
 
 @dataclass(frozen=True)
@@ -38,11 +45,7 @@ class NetworkConfig:
             raise ValueError("NetworkConfig: channel counts must be positive")
         if self.base_width < 1 or self.bottleneck_blocks < 0:
             raise ValueError("NetworkConfig: invalid width or block count")
-        if min(self.input_h, self.input_w) < 16 or \
-                self.input_h % 16 != 0 or self.input_w % 16 != 0:
-            raise ValueError("NetworkConfig: input dims must be at least 16 "
-                             "and divisible by 16, got %dx%d"
-                             % (self.input_h, self.input_w))
+        check_input_size(self.input_h, self.input_w)
 
     @property
     def stage_widths(self):
@@ -84,7 +87,7 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
     def __call__(self, x):
-        return ad.batch_norm2d(x, self.gamma, self.beta, BN_EPS)
+        return ad.batch_norm2d(x, self.gamma, self.beta)
 
     def named(self, prefix):
         return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]

@@ -45,6 +45,11 @@ class TrainConfig:
                 self.learning_rate > 0):
             raise ValueError("TrainConfig: learning rate must be positive "
                              "and finite")
+        # train_guided uses GUIDED_WEIGHTS and extracts no features
+        if self.stage == "guided" and self.weights != LossWeights():
+            raise ValueError("TrainConfig: guided stage ignores weights")
+        if self.stage == "guided" and self.latent_layers is not None:
+            raise ValueError("TrainConfig: guided stage ignores latent_layers")
         layers = self.latent_layers
         if layers is not None and (
                 not layers or len(set(layers)) != len(layers) or

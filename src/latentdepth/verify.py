@@ -50,7 +50,7 @@ def run_gradient_checks(seed=0):
     probe_w = rng.standard_normal((3, 4, 4))
 
     def bn(t, g, bt, weight=probe_w):
-        out = ad.batch_norm2d(t, g, bt, 1e-5)
+        out = ad.batch_norm2d(t, g, bt)
         return ad.reduce(ad.mul_const(out, weight), "sum")
 
     run("batch_norm2d/input",

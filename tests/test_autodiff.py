@@ -374,22 +374,24 @@ class TestBatchNorm:
     def test_train_two_values(self):
         x = np.array([1.0, 3.0]).reshape(1, 1, 2)
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(1)),
-                              Tensor(np.zeros(1)), 1e-12)
-        np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
+                              Tensor(np.zeros(1)))
+        np.testing.assert_allclose(out.data.ravel(),
+                                   np.array([-1.0, 1.0]) /
+                                   np.sqrt(1.0 + ad.BN_EPS), rtol=1e-15)
 
     def test_constant_channel_zero_output(self):
         x = np.full((2, 3, 3), 7.0)
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(2)),
-                              Tensor(np.zeros(2)), 1e-5)
+                              Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, np.zeros_like(x))
 
     def test_single_element_rule(self):
-        # one element per channel: mean 0, variance 1, so x / sqrt(1 + eps)
+        # one element per channel: mean 0, variance 1, so
+        # x / sqrt(1 + BN_EPS)
         x = Tensor(np.array([2.0, -3.0]).reshape(2, 1, 1), requires_grad=True)
         gamma, beta = np.array([0.5, 2.0]), np.array([0.1, -0.2])
-        eps = 1e-5
-        out = ad.batch_norm2d(x, Tensor(gamma), Tensor(beta), eps)
-        scale = gamma / np.sqrt(1.0 + eps)
+        out = ad.batch_norm2d(x, Tensor(gamma), Tensor(beta))
+        scale = gamma / np.sqrt(1.0 + ad.BN_EPS)
         np.testing.assert_allclose(out.data.ravel(),
                                    scale * x.data.ravel() + beta, rtol=1e-15)
         # the fixed statistics pass no gradient: d out / d x = gamma / std
@@ -399,16 +401,17 @@ class TestBatchNorm:
     def test_per_sample_statistics(self):
         x = np.random.default_rng(4).standard_normal((3, 4, 4)) * 5.0 + 2.0
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(3)),
-                              Tensor(np.zeros(3)), 1e-10).data
+                              Tensor(np.zeros(3))).data
         np.testing.assert_allclose(out.mean(axis=(1, 2)), np.zeros(3),
                                    atol=1e-12)
-        np.testing.assert_allclose(out.var(axis=(1, 2)), np.ones(3),
-                                   rtol=1e-8)
+        var = x.var(axis=(1, 2))
+        np.testing.assert_allclose(out.var(axis=(1, 2)),
+                                   var / (var + ad.BN_EPS), rtol=1e-8)
 
     def test_batched_input_rejected(self):
         with pytest.raises(ShapeMismatchError, match="CxHxW"):
             ad.batch_norm2d(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(3)),
-                            Tensor(np.zeros(3)), 1e-5)
+                            Tensor(np.zeros(3)))
 
 
 class TestElementwise:

@@ -11,24 +11,25 @@ from latentdepth.cli import main
 from latentdepth.network import CKPT_MAGIC, CheckpointError, load_checkpoint
 
 
-def _gen(tmp_path, count=6, size="16x16", per_scene=3, seed=1):
+def _gen(tmp_path, count=6, size="16x16", seed=1):
     out_dir = str(tmp_path / "synth")
     out = str(tmp_path / "gen.json")
     rc = main(["gen-synth", "--seed", str(seed), "--count", str(count),
-               "--size", size, "--per-scene", str(per_scene),
-               "--out-dir", out_dir, "--out", out])
+               "--size", size, "--out-dir", out_dir, "--out", out])
     assert rc == 0
     return os.path.join(out_dir, "manifest.json"), out
 
 
 class TestGenSynth:
     def test_writes_dataset_and_manifest(self, tmp_path):
-        manifest, out = _gen(tmp_path, count=8, per_scene=4)
+        manifest, out = _gen(tmp_path, count=8)
         doc = json.load(open(out))
         assert doc["count"] == 8
         records = data.load_manifest(manifest)
         assert len(records) == 8
-        assert {r.scene_id for r in records} == {"scene000", "scene001"}
+        # one scene id per image: each is an independent seeded scene
+        assert [r.scene_id for r in records] == \
+            ["scene%04d" % i for i in range(8)]
         splits = [r.split for r in records]
         assert splits.count("test") == 2  # default test fraction 0.25
         sample = data.load_rgbd_pair(records[0].rgb_path,
@@ -63,7 +64,7 @@ class TestGenSynth:
 def pipeline(tmp_path_factory):
     """One tiny end-to-end CLI run shared by the pipeline tests."""
     tmp = tmp_path_factory.mktemp("cli")
-    manifest, _ = _gen(tmp, count=6, per_scene=3)
+    manifest, _ = _gen(tmp, count=6)
     guided_ckpt = str(tmp / "guided.ckpt")
     rc = main(["train-guided", "--manifest", manifest, "--steps", "5",
                "--batch-size", "2", "--seed", "2", "--base-width", "2",
@@ -158,7 +159,7 @@ class TestErrorPaths:
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
-        manifest, _ = _gen(tmp_path, count=2, per_scene=1)
+        manifest, _ = _gen(tmp_path, count=2)
         rc = main(["eval", "--model", str(bad), "--manifest", manifest,
                    "--out", str(tmp_path / "e.json")])
         assert rc == 2

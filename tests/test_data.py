@@ -81,7 +81,7 @@ class TestRgbdPairs:
         write_ppm(str(tmp_path / "a.ppm"), rgb)
         write_pgm16(str(tmp_path / "a.pgm"), depth_mm)
         sample = load_rgbd_pair(str(tmp_path / "a.ppm"),
-                                str(tmp_path / "a.pgm"), "s")
+                                str(tmp_path / "a.pgm"))
         assert np.all(sample.depth == 1.5)
         assert sample.mask.all()
 
@@ -98,7 +98,7 @@ class TestRgbdPairs:
         src = synth_scene(3, 16, 32, 2)
         save_rgbd_pair(src, str(tmp_path / "r.ppm"), str(tmp_path / "r.pgm"))
         back = load_rgbd_pair(str(tmp_path / "r.ppm"),
-                              str(tmp_path / "r.pgm"), src.scene_id)
+                              str(tmp_path / "r.pgm"))
         # quantization: 1/255 on rgb, 1 mm on depth
         assert np.abs(back.rgb - src.rgb).max() <= 0.5 / 255.0 + 1e-12
         assert np.abs(back.depth - src.depth).max() <= 0.5e-3 + 1e-12
@@ -110,12 +110,6 @@ class TestRgbdPairs:
         with pytest.raises(DimensionMismatchError):
             load_rgbd_pair(str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"))
 
-    def test_validate_catches_bad_arrays(self):
-        s = RgbdSample(rgb=np.zeros((3, 4, 4)), depth=np.zeros((1, 4, 5)),
-                       mask=np.ones((4, 4), bool), scene_id="x")
-        with pytest.raises(DimensionMismatchError):
-            s.validate()
-
 
 class TestPreprocess:
     def _sample(self, h, w, seed=0):
@@ -123,8 +117,7 @@ class TestPreprocess:
         depth = rng.uniform(1.0, 5.0, (1, h, w))
         mask = rng.random((h, w)) > 0.1
         depth[0][~mask] = 0.0
-        return RgbdSample(rgb=rng.random((3, h, w)), depth=depth,
-                          mask=mask, scene_id="p").validate()
+        return RgbdSample(rgb=rng.random((3, h, w)), depth=depth, mask=mask)
 
     def test_identity_when_size_matches(self):
         s = self._sample(32, 32)
@@ -150,17 +143,13 @@ class TestPreprocess:
     def test_rgb_constant_preserved(self):
         s = RgbdSample(rgb=np.full((3, 32, 32), 0.25),
                        depth=np.ones((1, 32, 32)),
-                       mask=np.ones((32, 32), bool), scene_id="c")
+                       mask=np.ones((32, 32), bool))
         out = preprocess(s, 16, 16)
         np.testing.assert_allclose(out.rgb, 0.25, rtol=1e-15)
 
     def test_upscale_rejected(self):
         with pytest.raises(DataError, match="larger"):
             preprocess(self._sample(16, 16), 32, 32)
-
-    def test_non_multiple_of_16_rejected(self):
-        with pytest.raises(DataError, match="divisible"):
-            preprocess(self._sample(64, 64), 30, 32)
 
 
 class TestManifest:
@@ -239,7 +228,6 @@ class TestSynth:
         b = synth_scene(42, 32, 32, 3)
         np.testing.assert_array_equal(a.rgb, b.rgb)
         np.testing.assert_array_equal(a.depth, b.depth)
-        assert a.scene_id == b.scene_id == "synth-42"
 
     def test_different_seeds_differ(self):
         a = synth_scene(1, 32, 32, 3)
@@ -274,8 +262,6 @@ class TestSynth:
         assert s.depth.min() >= 1.0 and s.depth.max() <= BG_FAR
 
     def test_dims_validated(self):
-        with pytest.raises(DataError, match="divisible"):
-            synth_scene(0, 20, 32, 1)
         with pytest.raises(DataError):
             synth_surfaces(0, 4, 4, 1)
         with pytest.raises(DataError):

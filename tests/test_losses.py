@@ -48,11 +48,6 @@ class TestDataLoss:
         mask = np.array([[True, False]])
         assert data_loss(y, t, mask).item() == 1.0
 
-    def test_full_shape_mask_accepted(self):
-        y = Tensor(np.array([[[3.0, 0.0]]]))
-        t = Tensor(np.zeros((1, 1, 2)))
-        assert data_loss(y, t, np.array([[[True, False]]])).item() == 3.0
-
     def test_zero_on_identical(self):
         x = np.random.default_rng(0).random((1, 4, 4))
         assert data_loss(Tensor(x), Tensor(x.copy()),
@@ -67,6 +62,10 @@ class TestDataLoss:
         with pytest.raises(ShapeMismatchError):
             data_loss(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 3))),
                       np.ones((2, 2), bool))
+        # a mask is HxW, not the prediction's full shape
+        with pytest.raises(ShapeMismatchError, match="mask"):
+            data_loss(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 2))),
+                      np.ones((1, 1, 2), bool))
 
 
 class TestImageGradientLoss:

@@ -76,9 +76,10 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse([(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)),
                    np.ones((2, 2), bool))])
-        with pytest.raises(ValueError, match="mask"):
-            rmse([(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
-                   np.ones((3, 3), bool))])
+        for mask_shape in ((3, 3), (1, 2, 2)):
+            with pytest.raises(ValueError, match="mask"):
+                rmse([(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
+                       np.ones(mask_shape, bool))])
 
 
 class TestRelativeImprovement:

@@ -91,6 +91,13 @@ class TestTrainConfig:
                             learning_rate=lr)
         with pytest.raises(ValueError):
             TrainConfig(stage="guided", net=NET16, steps=1, batch_size=0)
+        # the guided stage trains on GUIDED_WEIGHTS alone
+        with pytest.raises(ValueError, match="weights"):
+            TrainConfig(stage="guided", net=NET16, steps=1,
+                        weights=LossWeights(latent=0.5))
+        with pytest.raises(ValueError, match="latent_layers"):
+            TrainConfig(stage="guided", net=NET16, steps=1,
+                        latent_layers=(0,))
 
     @pytest.mark.parametrize("layers", [(), (5,), (-1,), (0, 2, 0)])
     def test_bad_latent_layers_rejected(self, layers):
@@ -293,10 +300,11 @@ class TestPerSampleBackward:
     WEIGHTS = LossWeights(1.0, 0.02, 1.0, 0.005)
 
     def _config(self, stage, steps=1):
-        return TrainConfig(stage=stage,
-                           net=NET16 if stage == "guided" else NET16_RGB,
-                           steps=steps, batch_size=3, seed=14,
-                           weights=self.WEIGHTS)
+        if stage == "guided":  # the guided stage takes no weights
+            return TrainConfig(stage=stage, net=NET16, steps=steps,
+                               batch_size=3, seed=14)
+        return TrainConfig(stage=stage, net=NET16_RGB, steps=steps,
+                           batch_size=3, seed=14, weights=self.WEIGHTS)
 
     def _train(self, stage, samples, steps=1):
         config = self._config(stage, steps)
@@ -388,7 +396,7 @@ class TestConstantPredictor:
             m = np.array(mask_vals, bool)
             from latentdepth.data import RgbdSample
             return RgbdSample(rgb=np.zeros((3,) + d.shape[1:]), depth=d,
-                              mask=m, scene_id="h")
+                              mask=m)
 
         train = [mk([[2.0, 4.0]], [[True, True]])]     # mean 3
         evalset = [mk([[3.0, 5.0]], [[True, True]])]   # diffs 0, 2
@@ -399,8 +407,7 @@ class TestConstantPredictor:
         from latentdepth.data import RgbdSample
         d = np.array([[[2.0, 100.0]]])
         m = np.array([[True, False]])
-        train = [RgbdSample(rgb=np.zeros((3, 1, 2)), depth=d, mask=m,
-                            scene_id="h")]
+        train = [RgbdSample(rgb=np.zeros((3, 1, 2)), depth=d, mask=m)]
         result = constant_predictor_rmse(train, train)
         assert result.rmse == 0.0
 
