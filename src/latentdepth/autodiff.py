@@ -60,9 +60,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         if self.data.shape != ():
             raise ShapeMismatchError("item() on non-scalar tensor of shape %s"
@@ -375,18 +372,6 @@ def bilinear_resample(img, th, tw):
     return rows[:, :, ci0] * (1 - cf_) + rows[:, :, ci1] * cf_
 
 
-def _scatter_add(dst, axis, idx, vals):
-    """np.add.at(dst, idx along axis, vals) for a nondecreasing idx, with
-    the same bits, as fancy-index adds: the r-th entry of every
-    destination goes in the r-th add, so each destination sums its
-    entries in ascending order, as np.add.at does."""
-    rank = np.arange(idx.size) - np.searchsorted(idx, idx)
-    lead = (slice(None),) * axis
-    for r in range(rank.max() + 1):
-        sel = np.flatnonzero(rank == r)
-        dst[lead + (idx[sel],)] += vals[lead + (sel,)]
-
-
 def bilinear_upsample_x2(x):
     if x.data.ndim != 3:
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
@@ -402,11 +387,11 @@ def bilinear_upsample_x2(x):
         rf_ = rf[None, :, None]
         cf_ = cf[None, None, :]
         drows = np.zeros((c, 2 * h, w), dtype=DTYPE)
-        _scatter_add(drows, 2, ci0, g * (1.0 - cf_))
-        _scatter_add(drows, 2, ci1, g * cf_)
+        np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf_))
+        np.add.at(drows, (slice(None), slice(None), ci1), g * cf_)
         dx = np.zeros((c, h, w), dtype=DTYPE)
-        _scatter_add(dx, 1, ri0, drows * (1.0 - rf_))
-        _scatter_add(dx, 1, ri1, drows * rf_)
+        np.add.at(dx, (slice(None), ri0), drows * (1.0 - rf_))
+        np.add.at(dx, (slice(None), ri1), drows * rf_)
         _accum(x, dx)
 
     return _result(bilinear_resample(x.data, 2 * h, 2 * w), (x,), bwd)

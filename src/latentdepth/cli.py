@@ -199,7 +199,7 @@ def _cmd_train(args):
         objective["weights"] = losses.LossWeights(
             data=args.w_data, latent=args.w_latent,
             grad_image=args.w_grad_image, grad_feature=args.w_grad_feature)
-        if args.layers:
+        if args.layers is not None:
             objective["latent_layers"] = _parse_layers(args.layers)
     config = training.TrainConfig(
         stage=stage, net=net, steps=args.steps, batch_size=args.batch_size,
@@ -246,10 +246,14 @@ def _cmd_predict(args):
     model = load_checkpoint(args.model)
     with no_grad():
         pred, _ = model.forward(Tensor(data.load_rgb(args.rgb)))
+    # a NaN or infinity reaches the min or the max; checked before any
+    # output file is written
+    lo, hi = float(pred.data.min()), float(pred.data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RuntimeError("predicted depth map is not finite")
     data.write_pgm16(args.depth_out, data.depth_to_mm(pred.data[0]))
     _write_json(args.out, {"depth_map": args.depth_out,
-                           "min_m": float(pred.data.min()),
-                           "max_m": float(pred.data.max())})
+                           "min_m": lo, "max_m": hi})
     print("wrote depth map %s" % args.depth_out)
     return 0
 

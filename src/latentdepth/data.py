@@ -192,10 +192,9 @@ def load_manifest(path):
                 for k in ("rgb", "depth", "scene", "split")):
             raise DataError("manifest record %r needs rgb, depth, scene and "
                             "split strings" % (rec,))
-        rgb = rec["rgb"] if os.path.isabs(rec["rgb"]) \
-            else os.path.join(base, rec["rgb"])
-        depth = rec["depth"] if os.path.isabs(rec["depth"]) \
-            else os.path.join(base, rec["depth"])
+        # join returns an absolute path unchanged
+        rgb = os.path.join(base, rec["rgb"])
+        depth = os.path.join(base, rec["depth"])
         scene = rec["scene"]
         split = rec["split"]
         if not scene:

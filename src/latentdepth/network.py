@@ -369,7 +369,10 @@ def load_checkpoint(path):
         if header["arrays"] != _array_table(items):
             raise CheckpointError("checkpoint arrays do not match the model "
                                   "structure of its config")
-        for _, arr in items:
+        for name, arr in items:
             raw = fh.read(arr.size * 8)
             arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError("checkpoint array %s is not finite"
+                                      % name)
     return model

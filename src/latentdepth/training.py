@@ -59,34 +59,26 @@ class TrainConfig:
                              % (N_TAPS - 1, list(layers)))
 
 
-def sgd_step(param, grad, velocity, lr, momentum):
-    """One classical-momentum update: v <- m*v + g; p <- p - lr*v."""
-    param = np.asarray(param)
-    grad = np.asarray(grad)
-    velocity = np.asarray(velocity)
-    if param.shape != grad.shape or param.shape != velocity.shape:
-        raise ShapeMismatchError("sgd_step: shapes %s / %s / %s"
-                                 % (param.shape, grad.shape, velocity.shape))
-    v = momentum * velocity + grad
-    return param - lr * v, v
-
-
 class SgdOptimizer:
-    def __init__(self, params, lr, momentum):
+    """Classical momentum (Sutskever et al., 2013), in place: each step
+    v <- MOMENTUM*v + g; p <- p - lr*v, with a missing grad read as zero.
+    Parameter and velocity arrays keep their identity across steps."""
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self):
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            p.data, self.velocity[i] = sgd_step(p.data, g, self.velocity[i],
-                                                self.lr, self.momentum)
+        for p, v in zip(self.params, self.velocity):
+            v *= MOMENTUM
+            if p.grad is not None:
+                v += p.grad
+            p.data -= self.lr * v
 
 
 def _write_loss_csv(path, history):
@@ -105,7 +97,7 @@ def _run_loop(model, samples, config, batch_loss):
     if not samples:
         raise TrainingError("empty training dataset")
     rng = np.random.default_rng(config.seed)
-    opt = SgdOptimizer(model.parameters(), config.learning_rate, MOMENTUM)
+    opt = SgdOptimizer(model.parameters(), config.learning_rate)
     history = []
     for step in range(config.steps):
         idxs = rng.integers(0, len(samples), size=config.batch_size)

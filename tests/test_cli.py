@@ -8,7 +8,8 @@ import pytest
 
 from latentdepth import cli, data, verify
 from latentdepth.cli import main
-from latentdepth.network import CKPT_MAGIC, CheckpointError, load_checkpoint
+from latentdepth.network import (CKPT_MAGIC, CheckpointError, load_checkpoint,
+                                 save_checkpoint)
 
 
 def _gen(tmp_path, count=6, size="16x16", seed=1):
@@ -133,6 +134,23 @@ class TestTrainEvalPredict:
                    "--depth-out", str(tmp_path / "p.pgm"),
                    "--out", str(tmp_path / "p.json")])
         assert rc == 2
+
+    def test_predict_non_finite_writes_nothing(self, pipeline, tmp_path,
+                                               capsys):
+        _, manifest, _, color_ckpt = pipeline
+        model = load_checkpoint(color_ckpt)
+        # finite weights whose products overflow
+        model.out_conv.weight.data[...] = 1e308
+        ckpt = str(tmp_path / "huge.ckpt")
+        save_checkpoint(model, ckpt)
+        depth_out, out = tmp_path / "p.pgm", tmp_path / "p.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["predict", "--model", ckpt,
+                       "--rgb", data.load_manifest(manifest)[0].rgb_path,
+                       "--depth-out", str(depth_out), "--out", str(out)])
+        assert rc == 2
+        assert "predicted depth map is not finite" in capsys.readouterr().err
+        assert not depth_out.exists() and not out.exists()
 
     def test_guided_checkpoint_untouched_by_color_stage(self, pipeline):
         tmp, manifest, guided_ckpt, _ = pipeline
@@ -328,6 +346,9 @@ CKPT_CASES = {
     "config_oversized": _oversized,
     "config_and_table_oversized": lambda h, p: _oversized(h, p, table=True),
     "array_table_not_list": lambda h, p: (dict(h, arrays=3), p, None),
+    # a NaN as the first element of enc0.conv.weight
+    "non_finite_payload": lambda h, p: (
+        h, np.full(1, np.nan).astype("<f8").tobytes() + p[8:], None),
 }
 
 # manifest document -> malformed document
@@ -350,6 +371,7 @@ FLAG_CASES = {
     "lr_nan": ("guided", ["--lr", "nan"], 2, "learning rate"),
     "w_latent_nan": ("color", ["--w-latent", "nan"], 2, "finite"),
     "layers_not_int": ("color", ["--layers", "a"], 1, "--layers"),
+    "layers_empty": ("color", ["--layers", ""], 1, "--layers"),
     "layers_past_last_tap": ("color", ["--layers", "9"], 2, "tap indices"),
     "layers_negative": ("color", ["--layers", "-1"], 2, "tap indices"),
     "layers_duplicate": ("color", ["--layers", "1,1"], 2, "tap indices"),

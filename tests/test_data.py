@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -178,9 +179,17 @@ class TestManifest:
         path = str(sub / "m.json")
         save_manifest(path, records, relative_to=str(sub))
         back = load_manifest(path)
-        import os
         assert [os.path.normpath(r.rgb_path) for r in back] == \
             [os.path.normpath(r.rgb_path) for r in records]
+
+    def test_absolute_paths_kept(self, tmp_path):
+        records = self._records(tmp_path, n=2)
+        assert all(os.path.isabs(r.rgb_path) for r in records)
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        path = str(sub / "m.json")
+        save_manifest(path, records)
+        assert load_manifest(path) == records
 
     def test_duplicate_rgb_rejected(self, tmp_path):
         r = self._records(tmp_path, n=1)[0]

@@ -10,10 +10,10 @@ from latentdepth.autodiff import ShapeMismatchError, Tensor
 from latentdepth.data import synth_scene
 from latentdepth.losses import LossWeights
 from latentdepth.network import DepthModel, NetworkConfig, save_checkpoint
-from latentdepth.training import (SgdOptimizer, TrainConfig, TrainingError,
-                                  _write_loss_csv, constant_predictor_rmse,
-                                  evaluate, sgd_step, train_color,
-                                  train_guided)
+from latentdepth.training import (MOMENTUM, SgdOptimizer, TrainConfig,
+                                  TrainingError, _write_loss_csv,
+                                  constant_predictor_rmse, evaluate,
+                                  train_color, train_guided)
 
 NET16 = NetworkConfig(input_channels=1, base_width=2, bottleneck_blocks=1,
                       input_h=16, input_w=16)
@@ -29,31 +29,33 @@ class TestSgdStep:
     def test_two_step_unroll(self):
         # from rest with constant gradient g: v1 = g, v2 = m*g + g,
         # total displacement after two steps = lr * (2 + m) * g
-        p = np.array([1.0, -2.0])
+        p0 = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])
-        v = np.zeros(2)
-        lr, m = 0.1, 0.9
-        p1, v1 = sgd_step(p, g, v, lr, m)
-        np.testing.assert_allclose(v1, g, rtol=1e-15)
-        p2, v2 = sgd_step(p1, g, v1, lr, m)
-        np.testing.assert_allclose(v2, (1 + m) * g, rtol=1e-15)
-        np.testing.assert_allclose(p - p2, lr * (2 + m) * g, rtol=1e-14)
+        lr, m = 0.1, MOMENTUM
+        p = Tensor(p0.copy(), requires_grad=True)
+        opt = SgdOptimizer([p], lr=lr)
+        p.grad = g.copy()
+        opt.step()
+        np.testing.assert_allclose(opt.velocity[0], g, rtol=1e-15)
+        opt.step()
+        np.testing.assert_allclose(opt.velocity[0], (1 + m) * g, rtol=1e-15)
+        np.testing.assert_allclose(p0 - p.data, lr * (2 + m) * g,
+                                   rtol=1e-14)
 
-    def test_zero_momentum_is_plain_sgd(self):
-        p, g = np.array([3.0]), np.array([2.0])
-        p1, v1 = sgd_step(p, g, np.zeros(1), 0.5, 0.0)
-        assert p1[0] == 2.0 and v1[0] == 2.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
-
-    def test_pure_no_mutation(self):
-        p = np.array([1.0])
-        g = np.array([1.0])
-        v = np.array([1.0])
-        sgd_step(p, g, v, 0.1, 0.9)
-        assert p[0] == 1.0 and v[0] == 1.0
+    def test_updates_model_arrays_in_place(self):
+        # every parameter array keeps its identity, so a state_items()
+        # array taken before a step sees the update
+        model = DepthModel(NET16, seed=0)
+        _, arr = model.state_items()[0]
+        start = arr.copy()
+        params = model.parameters()
+        arrays = [p.data for p in params]
+        opt = SgdOptimizer(params, lr=0.1)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert all(p.data is a for p, a in zip(params, arrays))
+        np.testing.assert_array_equal(arr, start - 0.1)
 
 
 class TestSgdOptimizer:
@@ -62,21 +64,21 @@ class TestSgdOptimizer:
         params = [Tensor(rng.random(4), requires_grad=True) for _ in range(2)]
         want = [p.data.copy() for p in params]
         vel = [np.zeros(4) for _ in params]
-        opt = SgdOptimizer(params, lr=0.2, momentum=0.5)
+        opt = SgdOptimizer(params, lr=0.2)
         for _ in range(3):
             grads = [rng.random(4) for _ in params]
             for p, g in zip(params, grads):
                 p.grad = g.copy()
             opt.step()
             for i in range(2):
-                want[i], vel[i] = sgd_step(want[i], grads[i], vel[i],
-                                           0.2, 0.5)
+                vel[i] = MOMENTUM * vel[i] + grads[i]
+                want[i] = want[i] - 0.2 * vel[i]
         for p, w in zip(params, want):
             np.testing.assert_array_equal(p.data, w)
 
     def test_none_grad_treated_as_zero(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = SgdOptimizer([p], lr=0.1, momentum=0.9)
+        opt = SgdOptimizer([p], lr=0.1)
         opt.step()
         assert p.data[0] == 5.0
 
