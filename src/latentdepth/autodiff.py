@@ -159,30 +159,44 @@ def relu(a):
 # matrices would be built as two 85 MB blocks, larger than any other
 # matrix that run builds
 _PATCH_LIMIT = 1 << 22
+# a forward block holds at most this many elements (8 MB), or 16 times
+# the weights' where that is more, up to _PATCH_LIMIT. A smaller block
+# stays nearer the cache between its copy and its GEMM (a 32 MB block is
+# a fresh mapping each time); the floor keeps 16 GEMM columns per output
+# channel, since every GEMM call re-packs the whole weight matrix
+_FORWARD_BLOCK = 1 << 20
 
 
-def _im2col(x, kh, kw, stride, top, left, oh, ow):
+def _im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):
     """The patch matrix of the CxHxW array x, shifted by (top, left) into
     a zero canvas that drops what lies past its far edges, in blocks:
     yields (rows, cols) with rows a slice of the oh output rows and cols
     the C*kh*kw x len(rows)*ow matrix of their windows, laid out as
-    (C, kh, kw, rows, ow)."""
+    (C, kh, kw, rows, ow). A block holds at most min(_PATCH_LIMIT,
+    max(_FORWARD_BLOCK, 16 * weight_size)) elements, or one output row.
+
+    Every block is written into one buffer: a yielded block is valid only
+    until the next one is requested."""
     c, h, w = x.shape
     hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
     xc = np.zeros((c, hc, wc), dtype=DTYPE)
     xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
-    e = xc.itemsize
-    step = max(1, _PATCH_LIMIT // (c * kh * kw * ow))
+    e, k = xc.itemsize, c * kh * kw
+    limit = min(_PATCH_LIMIT, max(_FORWARD_BLOCK, 16 * weight_size))
+    step = min(oh, max(1, limit // (k * ow)))
+    buf = np.empty(k * step * ow, dtype=DTYPE)
     for r0 in range(0, oh, step):
         rows = slice(r0, min(r0 + step, oh))
-        cols = np.ascontiguousarray(np.ndarray(
-            (c, kh, kw, rows.stop - r0, ow), DTYPE, xc, stride * r0 * wc * e,
+        n = rows.stop - r0
+        cols = buf[:k * n * ow].reshape(c, kh, kw, n, ow)
+        np.copyto(cols, np.ndarray(
+            (c, kh, kw, n, ow), DTYPE, xc, stride * r0 * wc * e,
             (hc * wc * e, wc * e, e, stride * wc * e, stride * e)))
         # free the canvas before the caller's last GEMM, so that a
         # single-block conv holds only its patch matrix through it
         if rows.stop == oh:
             del xc
-        yield rows, cols.reshape(c * kh * kw, -1)
+        yield rows, cols.reshape(k, n * ow)
 
 
 def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
@@ -281,7 +295,8 @@ def conv2d(x, weight, bias, stride=1):
 
     wmat = weight.data.reshape(cout, -1)
     out = np.empty((cout, oh * ow), dtype=DTYPE)
-    for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow):
+    for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow,
+                              weight.size):
         np.matmul(wmat, cols, out=out[:, rows.start * ow:rows.stop * ow])
     out += bias.data[:, None]
 

@@ -299,8 +299,13 @@ def _cmd_report(args):
 def main(argv=None):
     try:
         _apply_thread_cap()
+        import numpy as np  # after the cap, before any BLAS call
+
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # an overflow surfaces as one error line from the finiteness
+        # checks of predict, evaluate and training, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

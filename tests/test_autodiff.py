@@ -165,9 +165,9 @@ class TestConv2d:
         blocks = []
         real_im2col, real_lower = ad._im2col, ad._lower_rows
 
-        def im2col(x, kh, kw, stride, top, left, oh, ow):
+        def im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):
             for rows, cols in real_im2col(x, kh, kw, stride, top, left, oh,
-                                          ow):
+                                          ow, weight_size):
                 blocks.append(cls.Block("im2col", id(x), rows, cols.size,
                                         x.shape[0] * kh * kw * ow, 0, 0))
                 yield rows, cols
@@ -233,15 +233,66 @@ class TestConv2d:
         # one block, then one block per output row
         for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
             monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
-            blocks = list(ad._im2col(x, kh, kw, stride, ph, pw, oh, ow))
-            assert [r for r, _ in blocks] == [
-                slice(r0, min(r0 + step, oh)) for r0 in range(0, oh, step)]
-            for rows, cols in blocks:
+            blocks = []
+            for rows, cols in ad._im2col(x, kh, kw, stride, ph, pw, oh, ow,
+                                         1):
                 assert cols.shape == (c * kh * kw,
                                       (rows.stop - rows.start) * ow)
                 assert cols.dtype == ref.dtype and cols.flags.c_contiguous
+                # the next block overwrites this one's buffer
+                blocks.append((rows, cols.copy()))
+            assert [r for r, _ in blocks] == [
+                slice(r0, min(r0 + step, oh)) for r0 in range(0, oh, step)]
             cols = np.concatenate([cols for _, cols in blocks], axis=1)
             assert cols.tobytes() == ref.tobytes()
+
+    # a forward row of the 2x7x8 input's 3x3 windows holds 2 * 9 * 8 =
+    # 144 elements, nine times 16; each bound is set to exactly three
+    # rows, then one element (for the floor, one weight element) less
+    BIG = 1 << 30
+
+    @pytest.mark.parametrize("forward,weight,patch,heights", [
+        (3 * 144, 1, BIG, [3, 3, 1]),         # _FORWARD_BLOCK
+        (3 * 144 - 1, 1, BIG, [2, 2, 2, 1]),
+        (1, 27, BIG, [3, 3, 1]),              # 16 * weight_size
+        (1, 26, BIG, [2, 2, 2, 1]),
+        (BIG, BIG, 3 * 144, [3, 3, 1]),       # _PATCH_LIMIT
+        (BIG, BIG, 3 * 144 - 1, [2, 2, 2, 1]),
+        (143, 8, BIG, [1] * 7),               # at least one row
+        (BIG, 1, BIG, [7])])
+    def test_im2col_block_heights(self, forward, weight, patch, heights,
+                                  monkeypatch):
+        monkeypatch.setattr(ad, "_FORWARD_BLOCK", forward)
+        monkeypatch.setattr(ad, "_PATCH_LIMIT", patch)
+        x = np.random.default_rng(2).standard_normal((2, 7, 8))
+        blocks = [(rows, cols.copy())
+                  for rows, cols in ad._im2col(x, 3, 3, 1, 1, 1, 7, 8,
+                                               weight)]
+        assert [r.stop - r.start for r, _ in blocks] == heights
+        cols = np.concatenate([cols for _, cols in blocks], axis=1)
+        assert cols.tobytes() == _loop_patches(x, 3, 3, 1).tobytes()
+
+    def test_conv_forward_blocks_share_one_buffer(self, monkeypatch):
+        # conv2d passes its weights' size: 16 * (C_out * 18) elements are
+        # 2 * C_out rows of 144; every block is written into one buffer
+        monkeypatch.setattr(ad, "_FORWARD_BLOCK", 1)
+        seen = []
+        real = ad._im2col
+
+        def im2col(*args):
+            for rows, cols in real(*args):
+                seen.append((rows.stop - rows.start, cols))
+                yield rows, cols
+
+        monkeypatch.setattr(ad, "_im2col", im2col)
+        x = Tensor(np.random.default_rng(3).standard_normal((2, 7, 8)))
+        for cout, heights in [(1, [2, 2, 2, 1]), (2, [4, 3])]:
+            del seen[:]
+            w = Tensor(np.ones((cout, 2, 3, 3)))
+            ad.conv2d(x, w, Tensor(np.zeros(cout)), 1)
+            assert [n for n, _ in seen] == heights
+            assert all(np.shares_memory(cols, seen[0][1])
+                       for _, cols in seen[1:])
 
     @pytest.mark.parametrize("c,h,w,kh,kw,stride", IM2COL_CASES)
     def test_lower_rows_matches_loop_reference(self, c, h, w, kh, kw, stride,

@@ -135,22 +135,46 @@ class TestTrainEvalPredict:
                    "--out", str(tmp_path / "p.json")])
         assert rc == 2
 
-    def test_predict_non_finite_writes_nothing(self, pipeline, tmp_path,
-                                               capsys):
-        _, manifest, _, color_ckpt = pipeline
+    @staticmethod
+    def _overflowing_ckpt(color_ckpt, tmp_path):
         model = load_checkpoint(color_ckpt)
         # finite weights whose products overflow
         model.out_conv.weight.data[...] = 1e308
         ckpt = str(tmp_path / "huge.ckpt")
         save_checkpoint(model, ckpt)
+        return ckpt
+
+    def test_predict_non_finite_writes_nothing(self, pipeline, tmp_path,
+                                               capsys):
+        _, manifest, _, color_ckpt = pipeline
+        ckpt = self._overflowing_ckpt(color_ckpt, tmp_path)
         depth_out, out = tmp_path / "p.pgm", tmp_path / "p.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["predict", "--model", ckpt,
-                       "--rgb", data.load_manifest(manifest)[0].rgb_path,
-                       "--depth-out", str(depth_out), "--out", str(out)])
+        rc = main(["predict", "--model", ckpt,
+                   "--rgb", data.load_manifest(manifest)[0].rgb_path,
+                   "--depth-out", str(depth_out), "--out", str(out)])
         assert rc == 2
         assert "predicted depth map is not finite" in capsys.readouterr().err
         assert not depth_out.exists() and not out.exists()
+
+    def test_overflow_is_one_stderr_line(self, pipeline, tmp_path):
+        # no numpy RuntimeWarning reaches stderr before the error line
+        _, manifest, _, color_ckpt = pipeline
+        ckpt = self._overflowing_ckpt(color_ckpt, tmp_path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = str(tmp_path / "o.json")
+        for argv in (["predict", "--model", ckpt, "--rgb",
+                      data.load_manifest(manifest)[0].rgb_path,
+                      "--depth-out", str(tmp_path / "p.pgm"), "--out", out],
+                     ["eval", "--model", ckpt, "--manifest", manifest,
+                      "--out", out]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "latentdepth.cli"] + argv, env=env,
+                capture_output=True, text=True)
+            assert proc.returncode == 2
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_guided_checkpoint_untouched_by_color_stage(self, pipeline):
         tmp, manifest, guided_ckpt, _ = pipeline
