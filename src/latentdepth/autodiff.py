@@ -448,7 +448,7 @@ def spatial_gradients(x):
 # ---------------------------------------------------------------------------
 # reductions
 
-_REDUCE_KINDS = ("sum", "mean", "l1", "l2sq")
+_REDUCE_KINDS = ("sum", "l1", "l2sq")
 
 
 def reduce(x, kind):
@@ -462,12 +462,6 @@ def reduce(x, kind):
 
         def bwd(g):
             _accum(x, np.full_like(x.data, g))
-    elif kind == "mean":
-        n = x.data.size
-        val = x.data.sum() / n
-
-        def bwd(g):
-            _accum(x, np.full_like(x.data, g / n))
     elif kind == "l1":
         val = np.abs(x.data).sum()
         sign = np.sign(x.data)

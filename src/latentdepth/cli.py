@@ -170,11 +170,11 @@ def _cmd_gen_synth(args):
     return 0
 
 
-def _load_samples(manifest_path, h, w, split=None):
+def _load_samples(manifest_path, h, w, split):
     from . import data
 
     records = data.load_manifest(manifest_path)
-    if split and split != "all":
+    if split != "all":
         records = [r for r in records if r.split == split]
     samples = []
     for rec in records:
@@ -190,8 +190,7 @@ def _cmd_train(args):
     stage = args.stage
     h, w = _parse_size(args.size)
     in_ch = 1 if stage == "guided" else 3
-    net = NetworkConfig(input_channels=in_ch, output_channels=1,
-                        base_width=args.base_width,
+    net = NetworkConfig(input_channels=in_ch, base_width=args.base_width,
                         bottleneck_blocks=args.bottleneck_blocks,
                         input_h=h, input_w=w)
     objective = {}

@@ -32,7 +32,6 @@ def check_input_size(h, w):
 @dataclass(frozen=True)
 class NetworkConfig:
     input_channels: int
-    output_channels: int = 1
     base_width: int = 64
     bottleneck_blocks: int = 6
     input_h: int = 320
@@ -41,8 +40,8 @@ class NetworkConfig:
     def __post_init__(self):
         if not all(isinstance(v, int) for v in asdict(self).values()):
             raise ValueError("NetworkConfig: fields must be integers")
-        if self.input_channels < 1 or self.output_channels < 1:
-            raise ValueError("NetworkConfig: channel counts must be positive")
+        if self.input_channels < 1:
+            raise ValueError("NetworkConfig: input_channels must be positive")
         if self.base_width < 1 or self.bottleneck_blocks < 0:
             raise ValueError("NetworkConfig: invalid width or block count")
         check_input_size(self.input_h, self.input_w)
@@ -81,9 +80,8 @@ class BatchNorm:
     """Per-sample normalization with a learned per-channel affine map
     (see ad.batch_norm2d)."""
 
-    def __init__(self, channels, gamma_init=1.0):
-        self.gamma = Tensor(np.full(channels, gamma_init),
-                            requires_grad=True)
+    def __init__(self, channels):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
     def __call__(self, x):
@@ -95,15 +93,13 @@ class BatchNorm:
 
 class ResBlock:
     """Identity skip plus conv-BN-relu-conv-BN branch; no ReLU after the
-    join so a zero-initialized branch is an exact identity."""
+    join, so a zeroed branch (zero convs: no rng) is an exact identity."""
 
-    def __init__(self, channels, kernel, rng=None, zero_branch=False):
-        branch_rng = None if zero_branch else rng
-        gamma_init = 0.0 if zero_branch else 1.0
-        self.conv1 = Conv(channels, channels, kernel, rng=branch_rng)
-        self.bn1 = BatchNorm(channels, gamma_init)
-        self.conv2 = Conv(channels, channels, kernel, rng=branch_rng)
-        self.bn2 = BatchNorm(channels, gamma_init)
+    def __init__(self, channels, kernel, rng=None):
+        self.conv1 = Conv(channels, channels, kernel, rng=rng)
+        self.bn1 = BatchNorm(channels)
+        self.conv2 = Conv(channels, channels, kernel, rng=rng)
+        self.bn2 = BatchNorm(channels)
 
     def __call__(self, x):
         h = ad.relu(self.bn1(self.conv1(x)))
@@ -140,11 +136,10 @@ class DepthModel:
     arrays are about to be overwritten (load_checkpoint).
     """
 
-    def __init__(self, config, seed=0, zero_branch=False):
+    def __init__(self, config, seed=0):
         self.config = config
         rng = None if seed is None else np.random.default_rng(seed)
         widths = config.stage_widths
-        zb = zero_branch
         # (name, module) in construction order: the order of the random
         # draws and of the checkpoint arrays
         self._modules = []
@@ -158,7 +153,7 @@ class DepthModel:
         for i, (w, k) in enumerate(zip(widths, ENCODER_KERNELS)):
             head = add("enc%d" % i,
                        _ConvBnRelu(w, in_c, k, 1 if i == 0 else 2, rng))
-            block = add("enc%d.block" % i, ResBlock(w, k, rng, zb))
+            block = add("enc%d.block" % i, ResBlock(w, k, rng))
             self.enc_stages.append((head, block))
             in_c = w
         self.enc_latent = add("enc_latent",
@@ -166,7 +161,7 @@ class DepthModel:
 
         self.bottleneck = [
             add("bottleneck%d" % i,
-                ResBlock(widths[3], BOTTLENECK_KERNEL, rng, zb))
+                ResBlock(widths[3], BOTTLENECK_KERNEL, rng))
             for i in range(config.bottleneck_blocks)]
 
         # strict mirror of the encoder: conv kernel at each decoder stage
@@ -180,11 +175,10 @@ class DepthModel:
         self.dec_stages = []
         for i, (in_w, out_w, conv_k, block_k) in enumerate(dec_plan):
             head = add("dec%d" % i, _ConvBnRelu(out_w, in_w, conv_k, 1, rng))
-            block = add("dec%d.block" % i, ResBlock(out_w, block_k, rng, zb))
+            block = add("dec%d.block" % i, ResBlock(out_w, block_k, rng))
             self.dec_stages.append((head, block))
-        # final layer is linear: no norm, no activation
-        self.out_conv = add("out", Conv(config.output_channels, widths[0], 9,
-                                        rng=rng))
+        # final layer is linear, one depth channel: no norm, no activation
+        self.out_conv = add("out", Conv(1, widths[0], 9, rng=rng))
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -268,7 +262,7 @@ def shape_plan(config):
     for i, wd in enumerate((widths[3], widths[2], widths[1], widths[0])):
         h, w = 2 * h, 2 * w
         plan["dec%d" % i] = (wd, h, w)
-    plan["output"] = (config.output_channels, h, w)
+    plan["output"] = (1, h, w)
     return plan
 
 
@@ -289,11 +283,12 @@ def extract_features(guided, y, layers=None):
 
 # ---------------------------------------------------------------------------
 # checkpoint i/o: magic + 8-byte header length + JSON header + raw
-# little-endian float64 payload. Version 2 holds gamma and beta for each
-# normalization layer; version 1 also held running statistics.
+# little-endian float64 payload. Version 3 holds gamma and beta for each
+# normalization layer; version 2's config also held an output channel
+# count, and version 1 also held running statistics.
 
 CKPT_MAGIC = b"LDEPTHCKPT1\n"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 class CheckpointError(ValueError):

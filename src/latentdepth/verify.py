@@ -80,8 +80,7 @@ def run_gradient_checks(seed=0):
     # reductions
     run("reduce/sum", lambda t: ad.reduce(t, "sum"),
         rng.standard_normal((3, 3)))
-    run("reduce/mean", lambda t: ad.reduce(t, "mean"),
-        rng.standard_normal((3, 3)))
+    rng.standard_normal((3, 3))  # unused: the checks below keep their inputs
     run("reduce/l1", lambda t: ad.reduce(t, "l1"),
         _away_from_zero(rng, (3, 3)))
     run("reduce/l2sq", lambda t: ad.reduce(t, "l2sq"),
@@ -93,8 +92,8 @@ def run_gradient_checks(seed=0):
         rng.standard_normal((2, 4, 4)))
 
     # composed objective with a tiny frozen guided network
-    net = NetworkConfig(input_channels=1, output_channels=1, base_width=2,
-                        bottleneck_blocks=1, input_h=16, input_w=16)
+    net = NetworkConfig(input_channels=1, base_width=2, bottleneck_blocks=1,
+                        input_h=16, input_w=16)
     guided = DepthModel(net, seed=seed + 2)
     guided.freeze()
     target = Tensor(rng.uniform(1.0, 3.0, (1, 16, 16)))

@@ -157,7 +157,7 @@ def test_criterion_4_shape_pipeline():
 def test_criterion_5_resblock_identity():
     model = DepthModel(NetworkConfig(input_channels=3, base_width=4,
                                      bottleneck_blocks=6, input_h=32,
-                                     input_w=32), seed=0, zero_branch=True)
+                                     input_w=32), seed=None)
     rng = np.random.default_rng(1)
     blocks = [b for _, b in model.enc_stages] + list(model.bottleneck) + \
         [b for _, b in model.dec_stages]

@@ -591,7 +591,6 @@ class TestSpatialGradients:
 class TestReduce:
     def test_examples(self):
         assert scalar(ad.reduce(Tensor(np.array([-1.0, 2.0])), "l1")) == 3.0
-        assert scalar(ad.reduce(Tensor(np.full((3, 3), 7.0)), "mean")) == 7.0
         assert scalar(ad.reduce(Tensor(np.zeros(5)), "l2sq")) == 0.0
 
     def test_empty_rejected(self):

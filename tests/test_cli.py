@@ -367,6 +367,11 @@ CKPT_CASES = {
     "header_length_past_end": lambda h, p: (h, p, 1 << 40),
     "trailing_bytes": lambda h, p: (h, p + bytes(8), None),
     "v1": lambda h, p: _v1_layout(h, p) + (None,),
+    # version 2's config also held output_channels
+    "v2": lambda h, p: (dict(h, version=2, config=dict(
+        h["config"], output_channels=1)), p, None),
+    "v3_output_channels": lambda h, p: (
+        dict(h, config=dict(h["config"], output_channels=2)), p, None),
     "config_oversized": _oversized,
     "config_and_table_oversized": lambda h, p: _oversized(h, p, table=True),
     "array_table_not_list": lambda h, p: (dict(h, arrays=3), p, None),
@@ -418,7 +423,10 @@ GEN_CASES = {
 # report --ours values that are not a finite, non-negative RMSE
 REPORT_CASES = {"ours_nan": "nan", "ours_inf": "inf", "ours_negative": "-0.5"}
 
-TABLE = [("checkpoint", c, 2, "version 1" if c == "v1" else "checkpoint")
+CKPT_FRAGMENTS = {"v1": "version 1", "v2": "version 2",
+                  "v3_output_channels": "bad checkpoint config"}
+
+TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
          for c in CKPT_CASES] + \
     [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
     [("flags", c, code, frag)

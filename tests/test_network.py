@@ -10,11 +10,10 @@ from latentdepth.network import (CKPT_MAGIC, CheckpointError, DepthModel,
                                  NetworkConfig, ResBlock, extract_features,
                                  load_checkpoint, save_checkpoint, shape_plan)
 
-DESK = NetworkConfig(input_channels=3, output_channels=1, base_width=4,
-                     bottleneck_blocks=2, input_h=32, input_w=32)
-GUIDED_DESK = NetworkConfig(input_channels=1, output_channels=1,
-                            base_width=4, bottleneck_blocks=2,
-                            input_h=32, input_w=32)
+DESK = NetworkConfig(input_channels=3, base_width=4, bottleneck_blocks=2,
+                     input_h=32, input_w=32)
+GUIDED_DESK = NetworkConfig(input_channels=1, base_width=4,
+                            bottleneck_blocks=2, input_h=32, input_w=32)
 
 
 class TestConfigs:
@@ -38,7 +37,7 @@ class TestResBlock:
     def test_zero_branch_is_exact_identity(self):
         rng = np.random.default_rng(0)
         for channels, kernel in [(4, 3), (8, 5)]:
-            block = ResBlock(channels, kernel, zero_branch=True)
+            block = ResBlock(channels, kernel)  # no rng: zero convs
             x = rng.standard_normal((channels, 6, 6))
             out = block(Tensor(x))
             np.testing.assert_array_equal(out.data, x)
@@ -131,7 +130,7 @@ class TestModelProperties:
             assert (arr == want).all(), name
 
     def test_zero_branch_model_blocks_are_identities(self):
-        model = DepthModel(DESK, seed=2, zero_branch=True)
+        model = DepthModel(DESK, seed=None)  # zero convs in every branch
         rng = np.random.default_rng(3)
         for _, block in model.enc_stages:
             c = block.conv1.weight.shape[0]
@@ -245,7 +244,7 @@ class TestCheckpoint:
             assert n1 == n2
             assert a1.tobytes() == a2.tobytes()
 
-    def test_version_2_holds_gamma_and_beta_per_norm_layer(self, tmp_path):
+    def test_version_3_holds_gamma_and_beta_per_norm_layer(self, tmp_path):
         model = DepthModel(DESK, seed=34)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, path)
@@ -253,7 +252,8 @@ class TestCheckpoint:
         n = len(CKPT_MAGIC)
         hlen = int.from_bytes(blob[n:n + 8], "little")
         header = json.loads(blob[n + 8:n + 8 + hlen])
-        assert header["version"] == 2
+        assert header["version"] == 3
+        assert "output_channels" not in header["config"]
         names = [a["name"] for a in header["arrays"]]
         n_norm = sum(nm.endswith(".gamma") for nm in names)
         n_conv = sum(nm.endswith(".weight") for nm in names)
