@@ -337,11 +337,16 @@ def batch_norm2d(x, gamma, beta):
     bshape = (c, 1, 1)
     m = h * w
     if m == 1:
-        mean, var = np.zeros(c), np.ones(c)
+        d, var = x.data.copy(), np.ones(c)
     else:
-        mean, var = x.data.mean(axis=axes), x.data.var(axis=axes)
+        # centred once, where np.var would recompute the mean and the
+        # centred copy; the bits equal those of np.mean and np.var
+        d = x.data - x.data.sum(axis=axes, keepdims=True) / m
+        var = (d * d).sum(axis=axes) / m
     inv_std = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
-    xhat = (x.data - mean.reshape(bshape)) * inv_std
+    # in place: a separate xhat would keep d alive through out's
+    # computation, one more map-sized array at the forward's peak
+    xhat = np.multiply(d, inv_std, out=d)
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
     def bwd(g):
@@ -375,16 +380,16 @@ def half_pixel_indices(n, tn):
     return i0, np.minimum(i0 + 1, n - 1), src - i0
 
 
-def bilinear_resample(img, th, tw):
-    """Half-pixel-centered bilinear resample of a (C, H, W) array to
-    (C, th, tw): rows first, then columns."""
-    _, h, w = img.shape
-    ri0, ri1, rf = half_pixel_indices(h, th)
-    ci0, ci1, cf = half_pixel_indices(w, tw)
+def bilinear_resample(img, rows, cols):
+    """Bilinear resample of a (C, H, W) array, rows first, then columns;
+    rows and cols are each axis's (i0, i1, weight of i1) triple, as
+    half_pixel_indices returns them."""
+    ri0, ri1, rf = rows
+    ci0, ci1, cf = cols
     rf_ = rf[None, :, None]
     cf_ = cf[None, None, :]
-    rows = img[:, ri0, :] * (1 - rf_) + img[:, ri1, :] * rf_
-    return rows[:, :, ci0] * (1 - cf_) + rows[:, :, ci1] * cf_
+    by_rows = img[:, ri0, :] * (1 - rf_) + img[:, ri1, :] * rf_
+    return by_rows[:, :, ci0] * (1 - cf_) + by_rows[:, :, ci1] * cf_
 
 
 def bilinear_upsample_x2(x):
@@ -392,13 +397,14 @@ def bilinear_upsample_x2(x):
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
                                  "got %s" % (x.shape,))
     c, h, w = x.shape
+    rows, cols = half_pixel_indices(h, 2 * h), half_pixel_indices(w, 2 * w)
 
     def bwd(g):
         if not x.requires_grad:
             return
         # transpose of the interpolation: scatter-add the same weights
-        ri0, ri1, rf = half_pixel_indices(h, 2 * h)
-        ci0, ci1, cf = half_pixel_indices(w, 2 * w)
+        ri0, ri1, rf = rows
+        ci0, ci1, cf = cols
         rf_ = rf[None, :, None]
         cf_ = cf[None, None, :]
         drows = np.zeros((c, 2 * h, w), dtype=DTYPE)
@@ -409,7 +415,7 @@ def bilinear_upsample_x2(x):
         np.add.at(dx, (slice(None), ri1), drows * rf_)
         _accum(x, dx)
 
-    return _result(bilinear_resample(x.data, 2 * h, 2 * w), (x,), bwd)
+    return _result(bilinear_resample(x.data, rows, cols), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,8 @@ def _load_samples(manifest_path, h, w, split):
     records = data.load_manifest(manifest_path)
     if split != "all":
         records = [r for r in records if r.split == split]
-    samples = []
-    for rec in records:
-        s = data.load_rgbd_pair(rec.rgb_path, rec.depth_path)
-        samples.append(data.preprocess(s, h, w))
-    return samples
+    return [data.load_rgbd_pair(rec.rgb_path, rec.depth_path, h, w)
+            for rec in records]
 
 
 def _cmd_train(args):

@@ -3,7 +3,9 @@ procedural synthetic scene generator for desk-scale runs.
 
 Conventions: RGB is P6 PPM with maxval 255 scaled to [0,1]; depth is P5
 16-bit PGM in millimeters with raw 0 as the invalid sentinel, converted
-to meters on load.
+to meters on load. A pair is resized to its target size while it is
+still uint8 and uint16, so only the source pixels the resize reads are
+converted to float.
 """
 
 import json
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import bilinear_resample
+from .autodiff import bilinear_resample, half_pixel_indices
 
 
 class DataError(ValueError):
@@ -112,22 +114,27 @@ class RgbdSample:
     mask: np.ndarray    # (H, W) bool, True = valid
 
 
+def _unit_rgb(rgb8):
+    """A uint8 (H, W, 3) frame as a (3, H, W) float64 array in [0, 1]."""
+    return rgb8.astype(np.float64).transpose(2, 0, 1) / 255.0
+
+
 def load_rgb(path):
     """A P6 PPM as a (3, H, W) float64 array in [0, 1]."""
-    return read_ppm(path).astype(np.float64).transpose(2, 0, 1) / 255.0
+    return _unit_rgb(read_ppm(path))
 
 
-def load_rgbd_pair(rgb_path, depth_path):
-    rgb = load_rgb(rgb_path)
-    depth_raw = read_pgm16(depth_path)
-    if rgb.shape[1:] != depth_raw.shape:
+def load_rgbd_pair(rgb_path, depth_path, target_h, target_w):
+    """A PPM/PGM pair as an RgbdSample resized to target_h x target_w
+    (see preprocess)."""
+    rgb8 = read_ppm(rgb_path)
+    depth_mm = read_pgm16(depth_path)
+    if rgb8.shape[:2] != depth_mm.shape:
         raise DimensionMismatchError("rgb is %dx%d but depth is %dx%d"
-                                     % (rgb.shape[1], rgb.shape[2],
-                                        depth_raw.shape[0],
-                                        depth_raw.shape[1]))
-    depth = depth_raw.astype(np.float64)[None] / 1000.0
-    mask = depth_raw > 0
-    return RgbdSample(rgb=rgb, depth=depth, mask=mask)
+                                     % (rgb8.shape[0], rgb8.shape[1],
+                                        depth_mm.shape[0],
+                                        depth_mm.shape[1]))
+    return preprocess(rgb8, depth_mm, target_h, target_w)
 
 
 def depth_to_mm(depth):
@@ -150,21 +157,37 @@ def _nearest_indices(n, tn):
     return np.clip(np.rint(src).astype(np.intp), 0, n - 1)
 
 
-def preprocess(sample, target_h, target_w):
-    """Resize: RGB bilinearly, depth and mask by nearest neighbor so no
-    depth value is invented across boundaries."""
-    h, w = sample.mask.shape
+def _read_set(triple):
+    """The sorted source indices that a half_pixel_indices triple reads,
+    and the triple re-indexed into them."""
+    i0, i1, frac = triple
+    idx, pos = np.unique(np.concatenate([i0, i1]), return_inverse=True)
+    return idx, (pos[:len(i0)], pos[len(i0):], frac)
+
+
+def preprocess(rgb8, depth_mm, target_h, target_w):
+    """A uint8 (H, W, 3) RGB frame and its uint16 (H, W) depth map in
+    millimeters as an RgbdSample of target_h x target_w: RGB resized
+    bilinearly with half-pixel centers, depth and mask by nearest neighbor
+    so no depth value is invented across boundaries. Only the source
+    pixels that the resize reads are converted to float."""
+    h, w = depth_mm.shape
     if target_h > h or target_w > w:
         raise DataError("target %dx%d larger than source %dx%d"
                         % (target_h, target_w, h, w))
     if (target_h, target_w) == (h, w):
-        return sample
-    ri = _nearest_indices(h, target_h)
-    ci = _nearest_indices(w, target_w)
-    return RgbdSample(
-        rgb=bilinear_resample(sample.rgb, target_h, target_w),
-        depth=sample.depth[:, ri][:, :, ci],
-        mask=sample.mask[ri][:, ci])
+        rgb = _unit_rgb(rgb8)
+    else:
+        rows, row_triple = _read_set(half_pixel_indices(h, target_h))
+        cols, col_triple = _read_set(half_pixel_indices(w, target_w))
+        rgb = bilinear_resample(_unit_rgb(rgb8[rows][:, cols]), row_triple,
+                                col_triple)
+        ri = _nearest_indices(h, target_h)
+        ci = _nearest_indices(w, target_w)
+        depth_mm = depth_mm[ri][:, ci]
+    return RgbdSample(rgb=rgb,
+                      depth=depth_mm.astype(np.float64)[None] / 1000.0,
+                      mask=depth_mm > 0)
 
 
 # ---------------------------------------------------------------------------

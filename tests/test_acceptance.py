@@ -248,7 +248,7 @@ def test_criterion_9_io_round_trips(pipeline, tmp_path):
     data.write_ppm(str(tmp_path / "d.ppm"),
                    np.full((16, 16, 3), 100, dtype=np.uint8))
     sample = data.load_rgbd_pair(str(tmp_path / "d.ppm"),
-                                 str(tmp_path / "d.pgm"))
+                                 str(tmp_path / "d.pgm"), 16, 16)
     ok_units = bool(np.all(sample.depth == 1.5))
 
     run = pipeline[0]
@@ -258,7 +258,7 @@ def test_criterion_9_io_round_trips(pipeline, tmp_path):
                    "--rgb", rgb_path,
                    "--depth-out", str(tmp_path / "pred.pgm"),
                    "--out", str(tmp_path / "pred.json")])
-    back = data.load_rgbd_pair(rgb_path, str(tmp_path / "pred.pgm"))
+    back = data.load_rgbd_pair(rgb_path, str(tmp_path / "pred.pgm"), 32, 32)
     ok_predict = rc == 0 and back.depth.shape == (1, 32, 32)
 
     ok = ok_ppm and ok_pgm and ok_ckpt and ok_units and ok_predict

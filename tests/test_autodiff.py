@@ -459,6 +459,25 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.var(axis=(1, 2)),
                                    var / (var + ad.BN_EPS), rtol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 2), (4, 4, 4),
+                                       (8, 16, 16), (5, 7, 3), (2, 32, 32)])
+    def test_bits_of_mean_and_var(self, shape):
+        # centring once gives the bits of np.mean and np.var
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        c = shape[0]
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        if shape[1:] == (1, 1):
+            mean, var = np.zeros(c), np.ones(c)
+        else:
+            mean, var = x.mean(axis=(1, 2)), x.var(axis=(1, 2))
+        b = (c, 1, 1)
+        xhat = (x - mean.reshape(b)) * (
+            1.0 / np.sqrt(var + ad.BN_EPS)).reshape(b)
+        want = gamma.reshape(b) * xhat + beta.reshape(b)
+        out = ad.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta))
+        assert out.data.tobytes() == want.tobytes()
+
     def test_batched_input_rejected(self):
         with pytest.raises(ShapeMismatchError, match="CxHxW"):
             ad.batch_norm2d(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(3)),
@@ -570,6 +589,18 @@ class TestBilinearUpsample:
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
         ad.bilinear_upsample_x2(x)._backward_fn(g)
         assert x.grad.tobytes() == (np.zeros(shape) + ref).tobytes()
+
+    def test_indices_computed_once_per_call(self, monkeypatch):
+        calls = []
+        real = ad.half_pixel_indices
+
+        def counted(n, tn):
+            calls.append((n, tn))
+            return real(n, tn)
+        monkeypatch.setattr(ad, "half_pixel_indices", counted)
+        x = Tensor(np.ones((2, 3, 5)), requires_grad=True)
+        backward(ad.reduce(ad.bilinear_upsample_x2(x), "sum"))
+        assert calls == [(3, 6), (5, 10)]
 
 
 class TestSpatialGradients:

@@ -34,7 +34,7 @@ class TestGenSynth:
         splits = [r.split for r in records]
         assert splits.count("test") == 2  # default test fraction 0.25
         sample = data.load_rgbd_pair(records[0].rgb_path,
-                                     records[0].depth_path)
+                                     records[0].depth_path, 16, 16)
         assert sample.rgb.shape == (3, 16, 16)
 
     def test_idempotent_byte_identical(self, tmp_path):
@@ -117,7 +117,7 @@ class TestTrainEvalPredict:
                    "--depth-out", depth_out, "--out", out])
         assert rc == 0
         # output must load back through the standard pair loader
-        back = data.load_rgbd_pair(rec.rgb_path, depth_out)
+        back = data.load_rgbd_pair(rec.rgb_path, depth_out, 16, 16)
         assert back.depth.shape == (1, 16, 16)
         doc = json.load(open(out))
         valid = back.depth[0][back.mask]
@@ -395,6 +395,13 @@ MANIFEST_CASES = {
     "number_path": lambda doc: {"records": [dict(doc["records"][0], rgb=1)]},
 }
 
+# one test pair -> (rgb HxW, depth HxW, message fragment), evaluated by
+# the 16x16 model
+PAIR_CASES = {
+    "dimension_mismatch": ((16, 16), (16, 8), "depth is 16x8"),
+    "smaller_than_model": ((8, 16), (8, 16), "larger than source"),
+}
+
 # training flags -> (stage, extra argv, exit code, message fragment)
 FLAG_CASES = {
     "lr_nan": ("guided", ["--lr", "nan"], 2, "learning rate"),
@@ -429,6 +436,7 @@ CKPT_FRAGMENTS = {"v1": "version 1", "v2": "version 2",
 TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
          for c in CKPT_CASES] + \
     [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
+    [("pair", c, 2, frag) for c, (_, _, frag) in PAIR_CASES.items()] + \
     [("flags", c, code, frag)
      for c, (_, _, code, frag) in FLAG_CASES.items()] + \
     [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
@@ -452,6 +460,15 @@ def _argv(kind, case, pipeline, tmp_path):
         bad = str(tmp_path / "bad_manifest.json")
         with open(bad, "w") as fh:
             json.dump(doc, fh)
+        return ["eval", "--model", color_ckpt, "--manifest", bad] + out
+    if kind == "pair":
+        rgb_hw, depth_hw, _ = PAIR_CASES[case]
+        rgb, depth = str(tmp_path / "p.ppm"), str(tmp_path / "p.pgm")
+        data.write_ppm(rgb, np.zeros(rgb_hw + (3,), np.uint8))
+        data.write_pgm16(depth, np.ones(depth_hw, np.uint16))
+        bad = str(tmp_path / "pair_manifest.json")
+        data.save_manifest(bad, [data.ManifestRecord(rgb, depth, "s",
+                                                     "test")])
         return ["eval", "--model", color_ckpt, "--manifest", bad] + out
     if kind == "report":
         return ["report", "--ours=" + REPORT_CASES[case]] + out

@@ -1,18 +1,19 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latentdepth import data
+from latentdepth.autodiff import bilinear_resample, half_pixel_indices
 from latentdepth.data import (BG_FAR, BG_NEAR, SHADE_SCALE, DataError,
                               DimensionMismatchError, ImageFormatError,
-                              ManifestRecord, RgbdSample,
-                              TruncatedPayloadError, load_manifest,
-                              load_rgbd_pair, preprocess, read_pgm16,
-                              read_ppm, save_manifest, save_rgbd_pair,
-                              synth_scene, synth_surfaces, write_pgm16,
-                              write_ppm)
+                              ManifestRecord, TruncatedPayloadError,
+                              load_manifest, load_rgbd_pair, preprocess,
+                              read_pgm16, read_ppm, save_manifest,
+                              save_rgbd_pair, synth_scene, synth_surfaces,
+                              write_pgm16, write_ppm)
 
 
 class TestNetpbm:
@@ -82,7 +83,7 @@ class TestRgbdPairs:
         write_ppm(str(tmp_path / "a.ppm"), rgb)
         write_pgm16(str(tmp_path / "a.pgm"), depth_mm)
         sample = load_rgbd_pair(str(tmp_path / "a.ppm"),
-                                str(tmp_path / "a.pgm"))
+                                str(tmp_path / "a.pgm"), 16, 16)
         assert np.all(sample.depth == 1.5)
         assert sample.mask.all()
 
@@ -92,14 +93,14 @@ class TestRgbdPairs:
                   np.zeros((1, 2, 3), dtype=np.uint8))
         write_pgm16(str(tmp_path / "a.pgm"), depth_mm)
         sample = load_rgbd_pair(str(tmp_path / "a.ppm"),
-                                str(tmp_path / "a.pgm"))
+                                str(tmp_path / "a.pgm"), 1, 2)
         np.testing.assert_array_equal(sample.mask, [[False, True]])
 
     def test_save_load_round_trip(self, tmp_path):
         src = synth_scene(3, 16, 32, 2)
         save_rgbd_pair(src, str(tmp_path / "r.ppm"), str(tmp_path / "r.pgm"))
         back = load_rgbd_pair(str(tmp_path / "r.ppm"),
-                              str(tmp_path / "r.pgm"))
+                              str(tmp_path / "r.pgm"), 16, 32)
         # quantization: 1/255 on rgb, 1 mm on depth
         assert np.abs(back.rgb - src.rgb).max() <= 0.5 / 255.0 + 1e-12
         assert np.abs(back.depth - src.depth).max() <= 0.5e-3 + 1e-12
@@ -109,48 +110,89 @@ class TestRgbdPairs:
         write_ppm(str(tmp_path / "a.ppm"), np.zeros((2, 2, 3), np.uint8))
         write_pgm16(str(tmp_path / "a.pgm"), np.ones((2, 3), np.uint16))
         with pytest.raises(DimensionMismatchError):
-            load_rgbd_pair(str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"))
+            load_rgbd_pair(str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"),
+                           2, 2)
 
 
 class TestPreprocess:
-    def _sample(self, h, w, seed=0):
+    def _raw(self, h, w, seed=0):
         rng = np.random.default_rng(seed)
-        depth = rng.uniform(1.0, 5.0, (1, h, w))
-        mask = rng.random((h, w)) > 0.1
-        depth[0][~mask] = 0.0
-        return RgbdSample(rgb=rng.random((3, h, w)), depth=depth, mask=mask)
+        rgb8 = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        depth_mm = rng.integers(1000, 5001, (h, w)).astype(np.uint16)
+        depth_mm[rng.random((h, w)) <= 0.1] = 0
+        return rgb8, depth_mm
 
     def test_identity_when_size_matches(self):
-        s = self._sample(32, 32)
-        assert preprocess(s, 32, 32) is s
+        rgb8, depth_mm = self._raw(32, 32)
+        out = preprocess(rgb8, depth_mm, 32, 32)
+        np.testing.assert_array_equal(out.rgb,
+                                      rgb8.transpose(2, 0, 1) / 255.0)
+        np.testing.assert_array_equal(out.depth, depth_mm[None] / 1000.0)
+        np.testing.assert_array_equal(out.mask, depth_mm > 0)
 
     def test_downscale_shapes(self):
-        out = preprocess(self._sample(64, 48), 32, 16)
+        out = preprocess(*self._raw(64, 48), 32, 16)
         assert out.rgb.shape == (3, 32, 16)
         assert out.depth.shape == (1, 32, 16)
         assert out.mask.shape == (32, 16)
 
     def test_depth_values_not_invented(self):
         # nearest-neighbor depth: every output value exists in the input
-        s = self._sample(64, 64, seed=1)
-        out = preprocess(s, 16, 16)
-        assert set(out.depth.ravel()) <= set(s.depth.ravel())
+        rgb8, depth_mm = self._raw(64, 64, seed=1)
+        out = preprocess(rgb8, depth_mm, 16, 16)
+        assert set(out.depth.ravel()) <= set(depth_mm.ravel() / 1000.0)
 
     def test_mask_follows_depth(self):
-        s = self._sample(64, 64, seed=2)
-        out = preprocess(s, 16, 16)
+        out = preprocess(*self._raw(64, 64, seed=2), 16, 16)
         np.testing.assert_array_equal(out.mask, out.depth[0] > 0)
 
     def test_rgb_constant_preserved(self):
-        s = RgbdSample(rgb=np.full((3, 32, 32), 0.25),
-                       depth=np.ones((1, 32, 32)),
-                       mask=np.ones((32, 32), bool))
-        out = preprocess(s, 16, 16)
-        np.testing.assert_allclose(out.rgb, 0.25, rtol=1e-15)
+        out = preprocess(np.full((32, 32, 3), 64, np.uint8),
+                         np.full((32, 32), 1000, np.uint16), 16, 16)
+        np.testing.assert_allclose(out.rgb, 64 / 255.0, rtol=1e-15)
 
     def test_upscale_rejected(self):
         with pytest.raises(DataError, match="larger"):
-            preprocess(self._sample(16, 16), 32, 32)
+            preprocess(*self._raw(16, 16), 32, 32)
+
+    @pytest.mark.parametrize("h,w,th,tw", [
+        (480, 640, 32, 32), (480, 640, 48, 64), (75, 53, 32, 16),
+        (64, 48, 64, 16), (64, 48, 64, 48)])
+    def test_bits_of_converting_the_whole_frame_first(self, h, w, th, tw):
+        # converting only the pixels the resize reads commutes with the
+        # conversion: the same bytes as resizing the whole float frame
+        rgb8, depth_mm = self._raw(h, w, seed=h + w)
+        rgb = rgb8.astype(np.float64).transpose(2, 0, 1) / 255.0
+        depth = depth_mm.astype(np.float64)[None] / 1000.0
+        ri, ci = data._nearest_indices(h, th), data._nearest_indices(w, tw)
+        out = preprocess(rgb8, depth_mm, th, tw)
+        want = bilinear_resample(rgb, half_pixel_indices(h, th),
+                                 half_pixel_indices(w, tw))
+        assert out.rgb.tobytes() == want.tobytes()
+        assert out.depth.tobytes() == depth[:, ri][:, :, ci].tobytes()
+        assert out.mask.tobytes() == (depth_mm > 0)[ri][:, ci].tobytes()
+
+    def test_load_converts_only_what_the_resize_reads(self, tmp_path):
+        # a 480x640 pair loaded at 32x32 peaks below one float64 copy of
+        # the RGB frame
+        rgb8, depth_mm = self._raw(480, 640)
+        rgb, depth = str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm")
+        write_ppm(rgb, rgb8)
+        write_pgm16(depth, depth_mm)
+        tracemalloc.start()
+        try:
+            out = load_rgbd_pair(rgb, depth, 32, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.rgb.shape == (3, 32, 32)
+        assert peak < rgb8.size * 8
+
+    def test_upscale_rejected_on_load(self, tmp_path):
+        rgb, depth = str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm")
+        save_rgbd_pair(synth_scene(0, 16, 16, 1), rgb, depth)
+        with pytest.raises(DataError, match="larger"):
+            load_rgbd_pair(rgb, depth, 32, 16)
 
 
 class TestManifest:
