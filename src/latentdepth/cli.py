@@ -36,14 +36,6 @@ def _parse_size(text):
     return h, w
 
 
-def _parse_layers(text):
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise UsageError("--layers must be comma-separated integers, got %r"
-                         % text)
-
-
 def _write_json(path, payload):
     # serialized before any file is touched: a non-finite float raises
     # ValueError and leaves path as it was, with no .tmp file
@@ -106,8 +98,6 @@ def _build_parser():
             p.add_argument("--w-latent", type=float, default=1.0)
             p.add_argument("--w-grad-image", type=float, default=1.0)
             p.add_argument("--w-grad-feature", type=float, default=1.0)
-            p.add_argument("--layers", default=None,
-                           help="comma-separated tap indices (default all)")
 
     p = sub.add_parser("eval")
     p.add_argument("--model", required=True)
@@ -195,8 +185,6 @@ def _cmd_train(args):
         objective["weights"] = losses.LossWeights(
             data=args.w_data, latent=args.w_latent,
             grad_image=args.w_grad_image, grad_feature=args.w_grad_feature)
-        if args.layers is not None:
-            objective["latent_layers"] = _parse_layers(args.layers)
     config = training.TrainConfig(
         stage=stage, net=net, steps=args.steps, batch_size=args.batch_size,
         learning_rate=args.lr, seed=args.seed,

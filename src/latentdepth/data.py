@@ -57,17 +57,27 @@ def _read_header(fh, magic):
     return fields  # width, height, maxval
 
 
+def _read_netpbm(path, magic, maxval, nbytes):
+    """The header's (height, width) and its payload of nbytes per pixel;
+    the payload size is checked against the file before it is read."""
+    kind = "PPM" if magic == b"P6" else "PGM"
+    with open(path, "rb") as fh:
+        w, h, got = _read_header(fh, magic)
+        if got != maxval:
+            raise ImageFormatError("%s maxval must be %d, got %d"
+                                   % (kind, maxval, got))
+        need = w * h * nbytes
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise TruncatedPayloadError("%s payload: expected %d bytes, "
+                                        "got %d" % (kind, need, left))
+        return (h, w), fh.read(need)
+
+
 def read_ppm(path):
     """Binary P6 PPM with maxval 255; returns uint8 array (H, W, 3)."""
-    with open(path, "rb") as fh:
-        w, h, maxval = _read_header(fh, b"P6")
-        if maxval != 255:
-            raise ImageFormatError("PPM maxval must be 255, got %d" % maxval)
-        raw = fh.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise TruncatedPayloadError("PPM payload: expected %d bytes, got %d"
-                                    % (w * h * 3, len(raw)))
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    shape, raw = _read_netpbm(path, b"P6", 255, 3)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape + (3,))
 
 
 def write_ppm(path, arr):
@@ -82,16 +92,8 @@ def write_ppm(path, arr):
 
 def read_pgm16(path):
     """Binary P5 PGM with maxval 65535 (big-endian); returns uint16 (H, W)."""
-    with open(path, "rb") as fh:
-        w, h, maxval = _read_header(fh, b"P5")
-        if maxval != 65535:
-            raise ImageFormatError("PGM maxval must be 65535, got %d"
-                                   % maxval)
-        raw = fh.read(w * h * 2)
-    if len(raw) != w * h * 2:
-        raise TruncatedPayloadError("PGM payload: expected %d bytes, got %d"
-                                    % (w * h * 2, len(raw)))
-    return np.frombuffer(raw, dtype=">u2").reshape(h, w).astype(np.uint16)
+    shape, raw = _read_netpbm(path, b"P5", 65535, 2)
+    return np.frombuffer(raw, dtype=">u2").reshape(shape).astype(np.uint16)
 
 
 def write_pgm16(path, arr):
@@ -175,16 +177,13 @@ def preprocess(rgb8, depth_mm, target_h, target_w):
     if target_h > h or target_w > w:
         raise DataError("target %dx%d larger than source %dx%d"
                         % (target_h, target_w, h, w))
-    if (target_h, target_w) == (h, w):
-        rgb = _unit_rgb(rgb8)
-    else:
-        rows, row_triple = _read_set(half_pixel_indices(h, target_h))
-        cols, col_triple = _read_set(half_pixel_indices(w, target_w))
-        rgb = bilinear_resample(_unit_rgb(rgb8[rows][:, cols]), row_triple,
-                                col_triple)
-        ri = _nearest_indices(h, target_h)
-        ci = _nearest_indices(w, target_w)
-        depth_mm = depth_mm[ri][:, ci]
+    rows, row_triple = _read_set(half_pixel_indices(h, target_h))
+    cols, col_triple = _read_set(half_pixel_indices(w, target_w))
+    rgb = bilinear_resample(_unit_rgb(rgb8[rows][:, cols]), row_triple,
+                            col_triple)
+    ri = _nearest_indices(h, target_h)
+    ci = _nearest_indices(w, target_w)
+    depth_mm = depth_mm[ri][:, ci]
     return RgbdSample(rgb=rgb,
                       depth=depth_mm.astype(np.float64)[None] / 1000.0,
                       mask=depth_mm > 0)

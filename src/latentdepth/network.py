@@ -17,8 +17,6 @@ from .autodiff import Tensor, ShapeMismatchError
 
 ENCODER_KERNELS = (9, 7, 5, 3)
 BOTTLENECK_KERNEL = 3
-# feature taps: the four encoder stage outputs plus the deepest latent
-N_TAPS = len(ENCODER_KERNELS) + 1
 
 
 def check_input_size(h, w):
@@ -266,19 +264,16 @@ def shape_plan(config):
     return plan
 
 
-def extract_features(guided, y, layers=None):
-    """Feature taps of the guided network at y; gradients flow through
-    the network into y but never into its (frozen) parameters.
+def extract_features(guided, y):
+    """The guided network's five feature taps at y, shallowest first: the
+    four encoder stage outputs and the bottleneck output. Gradients flow
+    through the network into y but never into its (frozen) parameters.
 
     Normalization layers use the statistics of y itself, which keeps
     feature magnitudes bounded whatever the prediction looks like."""
-    if layers is not None and len(layers) == 0:
-        raise ValueError("extract_features: empty layer selection")
     latent, taps = guided.encoder_forward(y)
     taps[-1] = guided.bottleneck_forward(latent)
-    if layers is None:
-        return taps
-    return [taps[j] for j in sorted(layers)]
+    return taps
 
 
 # ---------------------------------------------------------------------------

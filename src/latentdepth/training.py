@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import losses, metrics, network
 from .autodiff import ShapeMismatchError, Tensor
 from .losses import LossWeights
-from .network import N_TAPS, DepthModel, NetworkConfig, save_checkpoint
+from .network import DepthModel, NetworkConfig, save_checkpoint
 
 MOMENTUM = 0.9
 # the guided stage reconstructs depth by masked L1 alone, whatever the
@@ -32,7 +32,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    latent_layers: tuple | None = None   # None = all feature taps
     checkpoint_path: str | None = None
     loss_csv_path: str | None = None
 
@@ -48,15 +47,6 @@ class TrainConfig:
         # train_guided uses GUIDED_WEIGHTS and extracts no features
         if self.stage == "guided" and self.weights != LossWeights():
             raise ValueError("TrainConfig: guided stage ignores weights")
-        if self.stage == "guided" and self.latent_layers is not None:
-            raise ValueError("TrainConfig: guided stage ignores latent_layers")
-        layers = self.latent_layers
-        if layers is not None and (
-                not layers or len(set(layers)) != len(layers) or
-                any(not 0 <= j < N_TAPS for j in layers)):
-            raise ValueError("TrainConfig: latent layers must be distinct "
-                             "tap indices in 0..%d, got %s"
-                             % (N_TAPS - 1, list(layers)))
 
 
 class SgdOptimizer:
@@ -162,9 +152,8 @@ def train_color(config, samples, guided):
         if need_features:
             # through the module attribute, so a wrapped
             # network.extract_features sees every call
-            fy = network.extract_features(guided, pred, config.latent_layers)
-            ft = network.extract_features(guided, target,
-                                          config.latent_layers)
+            fy = network.extract_features(guided, pred)
+            ft = network.extract_features(guided, target)
         return losses.total_loss(pred, target, sample.mask, config.weights,
                                  fy, ft)
 

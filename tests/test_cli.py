@@ -79,7 +79,7 @@ def pipeline(tmp_path_factory):
                "--batch-size", "2", "--seed", "2", "--base-width", "2",
                "--bottleneck-blocks", "1", "--size", "16x16",
                "--guided", guided_ckpt, "--w-latent", "0.02",
-               "--w-grad-feature", "0.005", "--layers", "3,4",
+               "--w-grad-feature", "0.005",
                "--ckpt-out", color_ckpt,
                "--loss-csv", str(tmp / "c.csv"),
                "--out", str(tmp / "c.json")])
@@ -402,15 +402,25 @@ PAIR_CASES = {
     "smaller_than_model": ((8, 16), (8, 16), "larger than source"),
 }
 
+# a netpbm header that promises more pixels than its few payload bytes ->
+# (command that reads it, file bytes)
+NETPBM_CASES = {
+    "ppm_width_20_digits": ("predict",
+                            b"P6\n%d 1\n255\n" % 10 ** 19 + bytes(30)),
+    "pgm_100000x100000": ("eval", b"P5\n100000 100000\n65535\n" + bytes(30)),
+}
+
 # training flags -> (stage, extra argv, exit code, message fragment)
 FLAG_CASES = {
     "lr_nan": ("guided", ["--lr", "nan"], 2, "learning rate"),
     "w_latent_nan": ("color", ["--w-latent", "nan"], 2, "finite"),
+    # the feature losses read every tap: any --layers is a usage error
+    "layers": ("color", ["--layers", "3,4"], 1, "--layers"),
     "layers_not_int": ("color", ["--layers", "a"], 1, "--layers"),
     "layers_empty": ("color", ["--layers", ""], 1, "--layers"),
-    "layers_past_last_tap": ("color", ["--layers", "9"], 2, "tap indices"),
-    "layers_negative": ("color", ["--layers", "-1"], 2, "tap indices"),
-    "layers_duplicate": ("color", ["--layers", "1,1"], 2, "tap indices"),
+    "layers_past_last_tap": ("color", ["--layers", "9"], 1, "--layers"),
+    "layers_negative": ("color", ["--layers", "-1"], 1, "--layers"),
+    "layers_duplicate": ("color", ["--layers", "1,1"], 1, "--layers"),
     "size_zero": ("guided", ["--size", "0x16"], 1, "--size"),
     # past the 128 TiB address space: the allocation fails at once
     "base_width_huge": ("guided", ["--base-width", str(2 ** 40)], 2,
@@ -437,6 +447,7 @@ TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
          for c in CKPT_CASES] + \
     [("manifest", c, 2, "manifest") for c in MANIFEST_CASES] + \
     [("pair", c, 2, frag) for c, (_, _, frag) in PAIR_CASES.items()] + \
+    [("netpbm", c, 2, "payload") for c in NETPBM_CASES] + \
     [("flags", c, code, frag)
      for c, (_, _, code, frag) in FLAG_CASES.items()] + \
     [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
@@ -470,6 +481,19 @@ def _argv(kind, case, pipeline, tmp_path):
         data.save_manifest(bad, [data.ManifestRecord(rgb, depth, "s",
                                                      "test")])
         return ["eval", "--model", color_ckpt, "--manifest", bad] + out
+    if kind == "netpbm":
+        command, blob = NETPBM_CASES[case]
+        bad = tmp_path / ("bad.ppm" if command == "predict" else "bad.pgm")
+        bad.write_bytes(blob)
+        if command == "predict":
+            return ["predict", "--model", color_ckpt, "--rgb", str(bad),
+                    "--depth-out", str(tmp_path / "d.pgm")] + out
+        rgb = str(tmp_path / "p.ppm")
+        data.write_ppm(rgb, np.zeros((16, 16, 3), np.uint8))
+        manifest = str(tmp_path / "netpbm_manifest.json")
+        data.save_manifest(manifest, [data.ManifestRecord(rgb, str(bad), "s",
+                                                          "test")])
+        return ["eval", "--model", color_ckpt, "--manifest", manifest] + out
     if kind == "report":
         return ["report", "--ours=" + REPORT_CASES[case]] + out
     if kind == "gen":

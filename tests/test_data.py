@@ -68,6 +68,15 @@ class TestNetpbm:
         q.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))
         with pytest.raises(TruncatedPayloadError):
             read_pgm16(str(q))
+        # checked against the file before the read: a 20-digit width would
+        # overflow it, and 100000x100000 would exhaust memory
+        for size in (b"%d 1" % 10 ** 19, b"100000 100000"):
+            p.write_bytes(b"P6\n%s\n255\n" % size + bytes(30))
+            with pytest.raises(TruncatedPayloadError, match="got 30$"):
+                read_ppm(str(p))
+            q.write_bytes(b"P5\n%s\n65535\n" % size + bytes(30))
+            with pytest.raises(TruncatedPayloadError, match="got 30$"):
+                read_pgm16(str(q))
 
     def test_garbage_header_token(self, tmp_path):
         p = tmp_path / "g.ppm"
@@ -123,12 +132,15 @@ class TestPreprocess:
         return rgb8, depth_mm
 
     def test_identity_when_size_matches(self):
-        rgb8, depth_mm = self._raw(32, 32)
-        out = preprocess(rgb8, depth_mm, 32, 32)
-        np.testing.assert_array_equal(out.rgb,
-                                      rgb8.transpose(2, 0, 1) / 255.0)
-        np.testing.assert_array_equal(out.depth, depth_mm[None] / 1000.0)
-        np.testing.assert_array_equal(out.mask, depth_mm > 0)
+        # the general gather-and-blend path at the source size returns the
+        # converted frame byte for byte
+        for h, w in ((32, 32), (16, 16), (32, 48), (75, 53), (480, 640)):
+            rgb8, depth_mm = self._raw(h, w)
+            out = preprocess(rgb8, depth_mm, h, w)
+            assert out.rgb.tobytes() == data._unit_rgb(rgb8).tobytes()
+            assert out.depth.tobytes() == (
+                depth_mm.astype(np.float64)[None] / 1000.0).tobytes()
+            assert out.mask.tobytes() == (depth_mm > 0).tobytes()
 
     def test_downscale_shapes(self):
         out = preprocess(*self._raw(64, 48), 32, 16)

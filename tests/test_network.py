@@ -179,21 +179,15 @@ class TestExtractFeatures:
         guided = DepthModel(GUIDED_DESK, seed=20)
         guided.freeze()
         y = Tensor(np.random.default_rng(21).random((1, 32, 32)))
-        feats = extract_features(guided, y, layers=[4])
-        assert len(feats) == 1
-        assert feats[0].shape == (32, 2, 2)
+        feats = extract_features(guided, y)
+        assert len(feats) == 5
+        assert feats[4].shape == (32, 2, 2)
 
     def test_all_layers_default(self):
         guided = DepthModel(GUIDED_DESK, seed=20)
         guided.freeze()
         y = Tensor(np.random.default_rng(22).random((1, 32, 32)))
         assert len(extract_features(guided, y)) == 5
-
-    def test_empty_selection_rejected(self):
-        guided = DepthModel(GUIDED_DESK, seed=20)
-        with pytest.raises(ValueError, match="empty"):
-            extract_features(guided, Tensor(np.zeros((1, 32, 32))),
-                             layers=[])
 
     def test_identical_input_identical_features(self):
         guided = DepthModel(GUIDED_DESK, seed=23)
@@ -209,8 +203,8 @@ class TestExtractFeatures:
         guided.freeze()
         y = Tensor(np.random.default_rng(26).random((1, 32, 32)),
                    requires_grad=True)
-        feats = extract_features(guided, y, layers=[4])
-        backward(ad.reduce(feats[0], "l2sq"))
+        feats = extract_features(guided, y)
+        backward(ad.reduce(feats[4], "l2sq"))
         assert y.grad is not None and np.abs(y.grad).max() > 0
         assert all(p.grad is None for p in guided.parameters())
 
@@ -221,9 +215,9 @@ class TestExtractFeatures:
         guided.freeze()
 
         def f(t):
-            feats = extract_features(guided, t, layers=[0, 4])
+            feats = extract_features(guided, t)
             return ad.add(ad.reduce(feats[0], "l2sq"),
-                          ad.reduce(feats[1], "l2sq"))
+                          ad.reduce(feats[4], "l2sq"))
 
         probe = np.random.default_rng(28).uniform(0.5, 2.0, (1, 16, 16))
         assert finite_diff_check(f, Tensor(probe)) < 1e-4

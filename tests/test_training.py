@@ -97,15 +97,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="weights"):
             TrainConfig(stage="guided", net=NET16, steps=1,
                         weights=LossWeights(latent=0.5))
-        with pytest.raises(ValueError, match="latent_layers"):
-            TrainConfig(stage="guided", net=NET16, steps=1,
-                        latent_layers=(0,))
-
-    @pytest.mark.parametrize("layers", [(), (5,), (-1,), (0, 2, 0)])
-    def test_bad_latent_layers_rejected(self, layers):
-        with pytest.raises(ValueError, match="tap indices"):
-            TrainConfig(stage="color", net=NET16, steps=1,
-                        latent_layers=layers)
 
 
 class TestTrainGuided:
@@ -218,14 +209,6 @@ class TestTrainColor:
         with pytest.raises(ShapeMismatchError):
             train_color(config, _samples(1), guided)
 
-    def test_latent_layer_subset(self):
-        guided = self._guided(seed=8, steps=1)
-        config = TrainConfig(stage="color", net=NET16_RGB, steps=2,
-                             batch_size=2, seed=8, latent_layers=(4,),
-                             weights=LossWeights(1.0, 0.02, 1.0, 0.0))
-        _, history = train_color(config, _samples(2, seed=8), guided)
-        assert len(history) == 2 and history[0].latent > 0
-
     @pytest.mark.parametrize("weights", [LossWeights(1.0, 0.02, 1.0, 0.005),
                                          LossWeights(1.0, 0.0, 1.0, 0.0)])
     def test_feature_extraction_calls(self, monkeypatch, weights):
@@ -235,9 +218,9 @@ class TestTrainColor:
         calls = []
         real = network.extract_features
 
-        def counting(guided, y, layers=None):
+        def counting(guided, y):
             calls.append("pred" if y.requires_grad else "target")
-            return real(guided, y, layers)
+            return real(guided, y)
 
         monkeypatch.setattr(network, "extract_features", counting)
         samples = _samples(3, seed=10)
@@ -268,8 +251,8 @@ class TestTrainColor:
         real = network.extract_features
         preds = []
 
-        def poisoned(guided, y, layers=None):
-            feats = real(guided, y, layers)
+        def poisoned(guided, y):
+            feats = real(guided, y)
             if not y.requires_grad:
                 return feats
             preds.append(y)
