@@ -150,14 +150,11 @@ def relu(a):
 # ---------------------------------------------------------------------------
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
-# every patch matrix (forward) and lowered block (backward) is built in
-# blocks of whole output rows of at most this many elements (32 MB of
-# float64), or of one row where a row is larger, and a conv holds one
-# block at a time. At 2^22 no training conv of the benchmark workloads is
-# split (the largest forward block, a 64x64 width-8 decoder head, has
-# 3.2 M elements); at 2^24 a 128x128 width-16 forward's 21 M-element
-# matrices would be built as two 85 MB blocks, larger than any other
-# matrix that run builds
+# a conv lowers its input in blocks of whole output rows, one at a time.
+# A backward block holds at most this many elements (32 MB of float64),
+# or one output row where a row is larger; a forward block is capped here
+# but sized by _FORWARD_BLOCK, which splits even the 3.2 M-element patch
+# matrix of a 64x64 width-8 network's largest decoder conv
 _PATCH_LIMIT = 1 << 22
 # a forward block holds at most this many elements (8 MB), or 16 times
 # the weights' where that is more, up to _PATCH_LIMIT. A smaller block

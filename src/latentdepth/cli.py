@@ -161,19 +161,28 @@ def _cmd_gen_synth(args):
 
 
 def _load_samples(manifest_path, h, w, split):
+    """The split's samples, loaded as drawn; the manifest is read now."""
     from . import data
 
-    records = data.load_manifest(manifest_path)
-    if split != "all":
-        records = [r for r in records if r.split == split]
-    return [data.load_rgbd_pair(rec.rgb_path, rec.depth_path, h, w)
-            for rec in records]
+    return (data.load_rgbd_pair(rec.rgb_path, rec.depth_path, h, w)
+            for rec in data.load_manifest(manifest_path)
+            if split in ("all", rec.split))
+
+
+def _check_out_paths(args, *flags):
+    """Rejects, before any work, a directory or a path in a missing one."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and (os.path.isdir(path) or
+                     not os.path.isdir(os.path.dirname(path) or ".")):
+            raise OSError("%s: cannot write a file at %s" % (flag, path))
 
 
 def _cmd_train(args):
     from . import losses, training
     from .network import NetworkConfig, load_checkpoint
 
+    _check_out_paths(args, "--ckpt-out", "--loss-csv", "--out")
     stage = args.stage
     h, w = _parse_size(args.size)
     in_ch = 1 if stage == "guided" else 3
@@ -190,7 +199,7 @@ def _cmd_train(args):
         learning_rate=args.lr, seed=args.seed,
         checkpoint_path=args.ckpt_out, loss_csv_path=args.loss_csv,
         **objective)
-    samples = _load_samples(args.manifest, h, w, split="train")
+    samples = list(_load_samples(args.manifest, h, w, split="train"))
     if stage == "guided":
         model, history = training.train_guided(config, samples)
     else:
@@ -213,10 +222,10 @@ def _cmd_eval(args):
     from . import training
     from .network import load_checkpoint
 
+    _check_out_paths(args, "--out")
     model = load_checkpoint(args.model)
-    samples = _load_samples(args.manifest, model.config.input_h,
-                            model.config.input_w, split=args.split)
-    result = training.evaluate(model, samples)
+    result = training.evaluate(model, _load_samples(
+        args.manifest, model.config.input_h, model.config.input_w, args.split))
     _write_json(args.out, dataclasses.asdict(result))
     print(result.summary())
     return 0

@@ -58,20 +58,19 @@ def _read_header(fh, magic):
 
 
 def _read_netpbm(path, magic, maxval, nbytes):
-    """The header's (height, width) and its payload of nbytes per pixel;
-    the payload size is checked against the file before it is read."""
+    """The header's (height, width) and the rest of the file as its payload
+    (nbytes per pixel), read unbuffered in one copy; a pipe works too."""
     kind = "PPM" if magic == b"P6" else "PGM"
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         w, h, got = _read_header(fh, magic)
         if got != maxval:
             raise ImageFormatError("%s maxval must be %d, got %d"
                                    % (kind, maxval, got))
-        need = w * h * nbytes
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need > left:
+        need, raw = w * h * nbytes, fh.read()
+        if len(raw) < need:
             raise TruncatedPayloadError("%s payload: expected %d bytes, "
-                                        "got %d" % (kind, need, left))
-        return (h, w), fh.read(need)
+                                        "got %d" % (kind, need, len(raw)))
+        return (h, w), memoryview(raw)[:need]
 
 
 def read_ppm(path):

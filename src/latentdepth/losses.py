@@ -5,10 +5,9 @@ import math
 from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError
+from .metrics import masked_pixels
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,7 @@ class LossReport(NamedTuple):
 
 def data_loss(y, target, mask):
     """Mean absolute error over valid pixels; y is CxHxW, mask HxW."""
-    if y.shape != target.shape:
-        raise ShapeMismatchError("data_loss: shape %s vs %s"
-                                 % (y.shape, target.shape))
-    m = np.asarray(mask, dtype=bool)
-    if y.data.ndim != 3 or m.shape != y.shape[1:]:
-        raise ShapeMismatchError("data_loss: mask shape %s vs %s"
-                                 % (m.shape, y.shape))
-    m = np.broadcast_to(m, y.shape)
+    m = masked_pixels("data_loss", y.shape, target.shape, mask)
     n_valid = int(m.sum())
     if n_valid == 0:
         raise ValueError("data_loss: mask has no valid pixels")

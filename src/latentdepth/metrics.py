@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ShapeMismatchError
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -23,9 +25,19 @@ class EvalResult:
             self.rmse, self.n_valid_pixels, self.n_images)
 
 
+def masked_pixels(name, shape, target_shape, mask):
+    """The HxW mask broadcast over the CxHxW shape that a prediction and
+    its truth share, or a ShapeMismatchError from the named caller."""
+    m = np.asarray(mask, dtype=bool)
+    if shape != target_shape or len(shape) != 3 or m.shape != shape[1:]:
+        raise ShapeMismatchError("%s: shape %s vs %s with mask shape %s"
+                                 % (name, shape, target_shape, m.shape))
+    return np.broadcast_to(m, shape)
+
+
 def rmse(pairs):
-    """Pooled root mean squared error over (prediction, truth, mask) pairs,
-    with prediction and truth CxHxW and mask HxW.
+    """Pooled root mean squared error over an iterable of (prediction,
+    truth, mask) pairs, with prediction and truth CxHxW and mask HxW.
 
     The divisor is the total valid-pixel count across the whole set, not
     the image count; accumulation order is the given pair order.
@@ -36,16 +48,12 @@ def rmse(pairs):
     for y, target, mask in pairs:
         y = np.asarray(y, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        m = np.asarray(mask, dtype=bool)
-        if y.shape != target.shape:
-            raise ValueError("rmse: shape %s vs %s" % (y.shape, target.shape))
-        if y.ndim != 3 or m.shape != y.shape[1:]:
-            raise ValueError("rmse: mask shape %s vs %s" % (m.shape, y.shape))
-        m = np.broadcast_to(m, y.shape)
+        m = masked_pixels("rmse", y.shape, target.shape, mask)
         diff = (y - target)[m]
         sq_sum += float(np.sum(diff * diff))
         n_valid += int(m.sum())
         n_images += 1
+        del y, target, diff  # so a generator of pairs holds one at a time
     if n_valid == 0:
         raise ValueError("rmse: no valid pixels in the evaluation set")
     return EvalResult(rmse=float(np.sqrt(sq_sum / n_valid)),

@@ -133,13 +133,13 @@ def train_color(config, samples, guided):
     every drawn sample, so nothing is kept per sample."""
     if config.stage != "color":
         raise ValueError("train_color: config.stage must be 'color'")
-    if guided.config.input_h != config.net.input_h or \
-            guided.config.input_w != config.net.input_w:
-        raise ShapeMismatchError("guided network is %dx%d but training "
-                                 "config wants %dx%d"
-                                 % (guided.config.input_h,
-                                    guided.config.input_w,
-                                    config.net.input_h, config.net.input_w))
+    g = guided.config
+    if (g.input_channels, g.input_h, g.input_w) != \
+            (1, config.net.input_h, config.net.input_w):
+        raise ShapeMismatchError(
+            "guided network takes %d channel(s) at %dx%d; training needs 1 "
+            "at %dx%d" % (g.input_channels, g.input_h, g.input_w,
+                          config.net.input_h, config.net.input_w))
     guided.freeze()
     model = DepthModel(config.net, seed=config.seed)
     need_features = config.weights.latent > 0 or \
@@ -162,17 +162,12 @@ def train_color(config, samples, guided):
 
 
 def evaluate(model, samples):
-    """Pooled RMSE of model predictions over an evaluation set."""
-    if not samples:
-        raise TrainingError("empty evaluation dataset")
-    pairs = []
+    """Pooled RMSE of model predictions over any iterable of samples."""
+    depth_input = model.config.input_channels == 1
     with ad.no_grad():
-        for sample in samples:
-            pred, _ = model.forward(Tensor(sample.rgb if
-                                           model.config.input_channels == 3
-                                           else sample.depth))
-            pairs.append((pred.data, sample.depth, sample.mask))
-    return metrics.rmse(pairs)
+        return metrics.rmse(
+            (model.forward(Tensor(s.depth if depth_input else s.rgb))[0].data,
+             s.depth, s.mask) for s in samples)
 
 
 def constant_predictor_rmse(train_samples, eval_samples):
@@ -184,6 +179,5 @@ def constant_predictor_rmse(train_samples, eval_samples):
         total += float(s.depth[0][s.mask].sum())
         count += int(s.mask.sum())
     mean = total / count
-    pairs = [(np.full_like(s.depth, mean), s.depth, s.mask)
-             for s in eval_samples]
-    return metrics.rmse(pairs)
+    return metrics.rmse((np.full_like(s.depth, mean), s.depth, s.mask)
+                        for s in eval_samples)

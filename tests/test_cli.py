@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from latentdepth import cli, data, verify
+from latentdepth import cli, data, training, verify
 from latentdepth.cli import main
 from latentdepth.network import (CKPT_MAGIC, CheckpointError, load_checkpoint,
                                  save_checkpoint)
@@ -416,17 +416,21 @@ FLAG_CASES = {
     "w_latent_nan": ("color", ["--w-latent", "nan"], 2, "finite"),
     # the feature losses read every tap: any --layers is a usage error
     "layers": ("color", ["--layers", "3,4"], 1, "--layers"),
-    "layers_not_int": ("color", ["--layers", "a"], 1, "--layers"),
-    "layers_empty": ("color", ["--layers", ""], 1, "--layers"),
-    "layers_past_last_tap": ("color", ["--layers", "9"], 1, "--layers"),
-    "layers_negative": ("color", ["--layers", "-1"], 1, "--layers"),
-    "layers_duplicate": ("color", ["--layers", "1,1"], 1, "--layers"),
     "size_zero": ("guided", ["--size", "0x16"], 1, "--size"),
     # past the 128 TiB address space: the allocation fails at once
     "base_width_huge": ("guided", ["--base-width", str(2 ** 40)], 2,
                         "Unable to allocate"),
     "batch_size_huge": ("guided", ["--batch-size", str(2 ** 50)], 2,
                         "Unable to allocate"),
+}
+
+# an output path that cannot be written -> (command, flag); it is
+# rejected before any work starts
+OUTPUT_CASES = {
+    "ckpt_out_missing_dir": ("train-guided", "--ckpt-out"),
+    "loss_csv_missing_dir": ("train-guided", "--loss-csv"),
+    "eval_out_missing_dir": ("eval", "--out"),
+    "eval_out_is_dir": ("eval", "--out"),
 }
 
 # gen-synth flags -> (extra argv, exit code, message fragment)
@@ -450,6 +454,8 @@ TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
     [("netpbm", c, 2, "payload") for c in NETPBM_CASES] + \
     [("flags", c, code, frag)
      for c, (_, _, code, frag) in FLAG_CASES.items()] + \
+    [("guided", "color_checkpoint", 2, "guided network takes 3")] + \
+    [("output", c, 2, flag) for c, (_, flag) in OUTPUT_CASES.items()] + \
     [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
     [("report", c, 1, "--ours") for c in REPORT_CASES]
 
@@ -499,19 +505,37 @@ def _argv(kind, case, pipeline, tmp_path):
     if kind == "gen":
         return ["gen-synth", "--count", "2", "--size", "16x16",
                 "--out-dir", str(tmp_path / "g")] + GEN_CASES[case][0] + out
-    stage, extra, _, _ = FLAG_CASES[case]
+    if kind == "output":
+        command, flag = OUTPUT_CASES[case]
+        path = str(tmp_path if case.endswith("_is_dir") else
+                   tmp_path / "missing" / "o.json")
+        if command == "eval":
+            return ["eval", "--model", color_ckpt, "--manifest", manifest,
+                    flag, path]
+        stage, extra = "guided", [flag, path]
+    elif kind == "guided":  # a color checkpoint as the frozen G
+        stage, extra, guided_ckpt = "color", [], color_ckpt
+    else:
+        stage, extra, _, _ = FLAG_CASES[case]
     argv = ["train-" + stage, "--manifest", manifest, "--steps", "1",
             "--batch-size", "1", "--base-width", "2",
             "--bottleneck-blocks", "1", "--size", "16x16",
-            "--ckpt-out", str(tmp_path / "t.ckpt")] + extra + out
+            "--ckpt-out", str(tmp_path / "t.ckpt")] + out + extra
     return argv + (["--guided", guided_ckpt] if stage == "color" else [])
+
+
+def _no_work(*args):
+    raise AssertionError("work started before the output paths were checked")
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("kind,case,code,fragment", TABLE,
                              ids=["%s-%s" % row[:2] for row in TABLE])
     def test_exit_code(self, kind, case, code, fragment, pipeline, tmp_path,
-                       capsys):
+                       capsys, monkeypatch):
+        if kind == "output":
+            monkeypatch.setattr(training, "train_guided", _no_work)
+            monkeypatch.setattr(training, "evaluate", _no_work)
         # an uncaught exception would escape main() and fail the test
         assert main(_argv(kind, case, pipeline, tmp_path)) == code
         assert not list(tmp_path.glob("o.json*"))

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -68,8 +69,8 @@ class TestNetpbm:
         q.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))
         with pytest.raises(TruncatedPayloadError):
             read_pgm16(str(q))
-        # checked against the file before the read: a 20-digit width would
-        # overflow it, and 100000x100000 would exhaust memory
+        # the header's dimensions never size the read: a 20-digit width
+        # would overflow it, and 100000x100000 would exhaust memory
         for size in (b"%d 1" % 10 ** 19, b"100000 100000"):
             p.write_bytes(b"P6\n%s\n255\n" % size + bytes(30))
             with pytest.raises(TruncatedPayloadError, match="got 30$"):
@@ -77,6 +78,27 @@ class TestNetpbm:
             q.write_bytes(b"P5\n%s\n65535\n" % size + bytes(30))
             with pytest.raises(TruncatedPayloadError, match="got 30$"):
                 read_pgm16(str(q))
+
+    def test_read_from_pipe(self, tmp_path):
+        # a pipe cannot seek: the payload is read to its end
+        path = str(tmp_path / "a.ppm")
+        write_ppm(path, np.random.default_rng(2).integers(
+            0, 256, (5, 7, 3), dtype=np.uint8))
+        fifo = str(tmp_path / "fifo.ppm")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(open(path, "rb").read())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = read_ppm(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(got, read_ppm(path))
 
     def test_garbage_header_token(self, tmp_path):
         p = tmp_path / "g.ppm"

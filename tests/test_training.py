@@ -370,8 +370,33 @@ class TestEvaluate:
         assert [a.tobytes() for _, a in model.state_items()] == before
 
     def test_empty_set_rejected(self):
-        with pytest.raises(TrainingError, match="empty"):
+        with pytest.raises(ValueError, match="no valid pixels"):
             evaluate(DepthModel(NET16, seed=0), [])
+
+    def test_one_prediction_at_a_time(self, monkeypatch):
+        # a generator of samples is drawn one by one, and sample k's
+        # prediction is released before sample k + 1 is drawn; the
+        # collector is off, so only reference counting frees it
+        real = DepthModel.forward
+        preds = []
+
+        def forward(model, x):
+            pred, taps = real(model, x)
+            preds.append(weakref.ref(pred.data))
+            return pred, taps
+
+        def samples():
+            for s in _samples(3, seed=16):
+                assert all(ref() is None for ref in preds)
+                yield s
+
+        monkeypatch.setattr(DepthModel, "forward", forward)
+        gc.disable()
+        try:
+            result = evaluate(DepthModel(NET16_RGB, seed=1), samples())
+        finally:
+            gc.enable()
+        assert result.n_images == 3 and len(preds) == 3
 
 
 class TestConstantPredictor:
