@@ -12,6 +12,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
+from . import autodiff, data, losses, metrics, network, training, verify
+
 
 class UsageError(Exception):
     pass
@@ -23,14 +27,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_size(text):
-    from .network import check_input_size
-
     try:
         h, w = (int(t) for t in text.lower().split("x"))
     except ValueError:
         raise UsageError("--size must be HxW, got %r" % text)
     try:
-        check_input_size(h, w)
+        network.check_input_size(h, w)
     except ValueError as exc:
         raise UsageError("--size: %s" % exc)
     return h, w
@@ -44,22 +46,6 @@ def _write_json(path, payload):
     with open(tmp, "w") as fh:
         fh.write(text + "\n")
     os.replace(tmp, path)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("LATENT_DEPTH_THREADS")
-    if cap is None:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        raise UsageError("LATENT_DEPTH_THREADS must be an integer")
-    if n < 0:
-        raise UsageError("LATENT_DEPTH_THREADS must be >= 0")
-    if n > 0:  # 0 = auto; must be set before numpy loads its BLAS
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _build_parser():
@@ -128,11 +114,10 @@ def _build_parser():
 
 
 # ---------------------------------------------------------------------------
-# subcommands (heavy imports deferred until after the thread cap is set)
+# subcommands; each calls the library through module attributes, so a
+# function wrapped after import sees the CLI's calls
 
 def _cmd_gen_synth(args):
-    from . import data
-
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     if not 0.0 <= args.test_fraction <= 1.0:
@@ -140,6 +125,7 @@ def _cmd_gen_synth(args):
                          % args.test_fraction)
     h, w = _parse_size(args.size)
     os.makedirs(args.out_dir, exist_ok=True)
+    _check_out_paths(args, "--out")  # after makedirs: --out may lie in it
     records = []
     n_test = int(round(args.count * args.test_fraction))
     for i in range(args.count):
@@ -162,8 +148,6 @@ def _cmd_gen_synth(args):
 
 def _load_samples(manifest_path, h, w, split):
     """The split's samples, loaded as drawn; the manifest is read now."""
-    from . import data
-
     return (data.load_rgbd_pair(rec.rgb_path, rec.depth_path, h, w)
             for rec in data.load_manifest(manifest_path)
             if split in ("all", rec.split))
@@ -179,16 +163,13 @@ def _check_out_paths(args, *flags):
 
 
 def _cmd_train(args):
-    from . import losses, training
-    from .network import NetworkConfig, load_checkpoint
-
     _check_out_paths(args, "--ckpt-out", "--loss-csv", "--out")
     stage = args.stage
     h, w = _parse_size(args.size)
     in_ch = 1 if stage == "guided" else 3
-    net = NetworkConfig(input_channels=in_ch, base_width=args.base_width,
-                        bottleneck_blocks=args.bottleneck_blocks,
-                        input_h=h, input_w=w)
+    net = network.NetworkConfig(
+        input_channels=in_ch, base_width=args.base_width,
+        bottleneck_blocks=args.bottleneck_blocks, input_h=h, input_w=w)
     objective = {}
     if stage == "color":
         objective["weights"] = losses.LossWeights(
@@ -199,11 +180,12 @@ def _cmd_train(args):
         learning_rate=args.lr, seed=args.seed,
         checkpoint_path=args.ckpt_out, loss_csv_path=args.loss_csv,
         **objective)
+    if stage == "color":  # a bad checkpoint fails before the split is read
+        guided = network.load_checkpoint(args.guided)
     samples = list(_load_samples(args.manifest, h, w, split="train"))
     if stage == "guided":
         model, history = training.train_guided(config, samples)
     else:
-        guided = load_checkpoint(args.guided)
         model, history = training.train_color(config, samples, guided)
     final = history[-1].total if history else None
     result = {"stage": stage, "steps": args.steps, "seed": args.seed,
@@ -219,11 +201,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    from . import training
-    from .network import load_checkpoint
-
     _check_out_paths(args, "--out")
-    model = load_checkpoint(args.model)
+    model = network.load_checkpoint(args.model)
     result = training.evaluate(model, _load_samples(
         args.manifest, model.config.input_h, model.config.input_w, args.split))
     _write_json(args.out, dataclasses.asdict(result))
@@ -232,13 +211,10 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    from . import data
-    from .autodiff import Tensor, no_grad
-    from .network import load_checkpoint
-
-    model = load_checkpoint(args.model)
-    with no_grad():
-        pred, _ = model.forward(Tensor(data.load_rgb(args.rgb)))
+    _check_out_paths(args, "--depth-out", "--out")
+    model = network.load_checkpoint(args.model)
+    with autodiff.no_grad():
+        pred, _ = model.forward(autodiff.Tensor(data.load_rgb(args.rgb)))
     # a NaN or infinity reaches the min or the max; checked before any
     # output file is written
     lo, hi = float(pred.data.min()), float(pred.data.max())
@@ -252,8 +228,7 @@ def _cmd_predict(args):
 
 
 def _cmd_gradcheck(args):
-    from . import verify
-
+    _check_out_paths(args, "--out")
     checks = verify.run_gradient_checks(seed=args.seed)
     ok = all(c["passed"] for c in checks)
     _write_json(args.out, {"tolerance": verify.TOLERANCE, "seed": args.seed,
@@ -272,8 +247,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_report(args):
-    from . import metrics
-
+    _check_out_paths(args, "--out")
     ours = args.ours if args.ours is not None else metrics.TABLE2_OURS
     if not (math.isfinite(ours) and ours >= 0):
         raise UsageError("--ours must be a finite, non-negative RMSE, got %r"
@@ -291,9 +265,6 @@ def _cmd_report(args):
 
 def main(argv=None):
     try:
-        _apply_thread_cap()
-        import numpy as np  # after the cap, before any BLAS call
-
         args = _build_parser().parse_args(argv)
         # an overflow surfaces as one error line from the finiteness
         # checks of predict, evaluate and training, not as numpy warnings

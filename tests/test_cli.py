@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from latentdepth import cli, data, training, verify
+from latentdepth import cli, data, metrics, network, training, verify
 from latentdepth.cli import main
 from latentdepth.network import (CKPT_MAGIC, CheckpointError, load_checkpoint,
                                  save_checkpoint)
@@ -47,6 +47,14 @@ class TestGenSynth:
                 open(b.rgb_path, "rb").read()
             assert open(a.depth_path, "rb").read() == \
                 open(b.depth_path, "rb").read()
+
+    def test_out_inside_new_out_dir(self, tmp_path):
+        out_dir = tmp_path / "new"
+        rc = main(["gen-synth", "--count", "2", "--size", "16x16",
+                   "--out-dir", str(out_dir), "--out",
+                   str(out_dir / "g.json")])
+        assert rc == 0
+        assert json.load(open(str(out_dir / "g.json")))["count"] == 2
 
     def test_bad_size_is_usage_error(self, tmp_path):
         rc = main(["gen-synth", "--count", "2", "--size", "17x16",
@@ -189,6 +197,30 @@ class TestTrainEvalPredict:
         assert rc == 0
         assert open(guided_ckpt, "rb").read() == before
 
+    @pytest.mark.parametrize("command", ["eval", "predict", "train-color"])
+    def test_checkpoints_load_through_module_attribute(
+            self, command, pipeline, tmp_path, monkeypatch):
+        # a name bound when cli is imported would bypass the wrapper
+        _, manifest, guided_ckpt, color_ckpt = pipeline
+        calls, real = [], network.load_checkpoint
+        monkeypatch.setattr(network, "load_checkpoint",
+                            lambda path: calls.append(path) or real(path))
+        out = ["--out", str(tmp_path / "o.json")]
+        argv = {
+            "eval": ["eval", "--model", color_ckpt, "--manifest", manifest],
+            "predict": ["predict", "--model", color_ckpt,
+                        "--rgb", data.load_manifest(manifest)[0].rgb_path,
+                        "--depth-out", str(tmp_path / "d.pgm")],
+            "train-color": ["train-color", "--manifest", manifest,
+                            "--steps", "1", "--batch-size", "1",
+                            "--base-width", "2", "--bottleneck-blocks", "1",
+                            "--size", "16x16", "--guided", guided_ckpt,
+                            "--ckpt-out", str(tmp_path / "c.ckpt")],
+        }[command]
+        assert main(argv + out) == 0
+        assert calls == [guided_ckpt if command == "train-color"
+                         else color_ckpt]
+
 
 class TestErrorPaths:
     def test_missing_subcommand_is_usage_error(self):
@@ -204,6 +236,17 @@ class TestErrorPaths:
         manifest, _ = _gen(tmp_path, count=2)
         rc = main(["eval", "--model", str(bad), "--manifest", manifest,
                    "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+
+    def test_bad_guided_checkpoint_fails_before_split_is_read(
+            self, pipeline, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"garbage")
+        monkeypatch.setattr(data, "load_rgbd_pair", _no_work)
+        rc = main(["train-color", "--manifest", pipeline[1], "--steps", "1",
+                   "--size", "16x16", "--guided", str(bad),
+                   "--ckpt-out", str(tmp_path / "c.ckpt"),
+                   "--out", str(tmp_path / "c.json")])
         assert rc == 2
 
     def test_missing_manifest_is_runtime_error(self, tmp_path):
@@ -280,18 +323,6 @@ class TestReport:
             cli._write_json(str(out), {"rmse": value})
         assert out.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
-
-
-class TestThreadCap:
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # LATENT_DEPTH_THREADS only takes effect if numpy and its BLAS
-        # load after main() applies it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = ("import sys, latentdepth.cli; "
-                "sys.exit('numpy' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 0
 
 
 class TestParseSize:
@@ -431,6 +462,11 @@ OUTPUT_CASES = {
     "loss_csv_missing_dir": ("train-guided", "--loss-csv"),
     "eval_out_missing_dir": ("eval", "--out"),
     "eval_out_is_dir": ("eval", "--out"),
+    "predict_out_missing_dir": ("predict", "--out"),
+    "predict_depth_out_is_dir": ("predict", "--depth-out"),
+    "gradcheck_out_missing_dir": ("gradcheck", "--out"),
+    "gen_out_missing_dir": ("gen-synth", "--out"),
+    "report_out_missing_dir": ("report", "--out"),
 }
 
 # gen-synth flags -> (extra argv, exit code, message fragment)
@@ -509,10 +545,20 @@ def _argv(kind, case, pipeline, tmp_path):
         command, flag = OUTPUT_CASES[case]
         path = str(tmp_path if case.endswith("_is_dir") else
                    tmp_path / "missing" / "o.json")
+        extra = [flag, path]  # the last of a repeated flag wins
         if command == "eval":
-            return ["eval", "--model", color_ckpt, "--manifest", manifest,
-                    flag, path]
-        stage, extra = "guided", [flag, path]
+            return ["eval", "--model", color_ckpt, "--manifest", manifest] + \
+                out + extra
+        if command == "predict":
+            return ["predict", "--model", color_ckpt,
+                    "--rgb", data.load_manifest(manifest)[0].rgb_path,
+                    "--depth-out", str(tmp_path / "d.pgm")] + out + extra
+        if command in ("gradcheck", "report"):
+            return [command] + out + extra
+        if command == "gen-synth":
+            return ["gen-synth", "--count", "2", "--size", "16x16",
+                    "--out-dir", str(tmp_path / "g")] + out + extra
+        stage = "guided"
     elif kind == "guided":  # a color checkpoint as the frozen G
         stage, extra, guided_ckpt = "color", [], color_ckpt
     else:
@@ -524,7 +570,7 @@ def _argv(kind, case, pipeline, tmp_path):
     return argv + (["--guided", guided_ckpt] if stage == "color" else [])
 
 
-def _no_work(*args):
+def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output paths were checked")
 
 
@@ -536,9 +582,14 @@ class TestMalformedInputs:
         if kind == "output":
             monkeypatch.setattr(training, "train_guided", _no_work)
             monkeypatch.setattr(training, "evaluate", _no_work)
+            monkeypatch.setattr(network, "load_checkpoint", _no_work)
+            monkeypatch.setattr(verify, "run_gradient_checks", _no_work)
+            monkeypatch.setattr(data, "synth_scene", _no_work)
+            monkeypatch.setattr(metrics, "relative_improvement", _no_work)
         # an uncaught exception would escape main() and fail the test
         assert main(_argv(kind, case, pipeline, tmp_path)) == code
         assert not list(tmp_path.glob("o.json*"))
+        assert not (tmp_path / "d.pgm").exists()
         err = capsys.readouterr().err
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert fragment in err and err.count("\n") == 1
