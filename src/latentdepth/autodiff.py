@@ -2,20 +2,25 @@
 
 Only the operator set the depth networks need: conv2d, per-sample
 normalization, relu, add, factor-2 bilinear upsampling, forward-difference
-spatial gradients, and scalar reductions. All arithmetic is float64; no
-broadcasting anywhere, shape agreement is always explicit.
+spatial gradients, and scalar reductions. Every op computes in its
+operands' dtype, float32 or float64, and allocates nothing wider; no
+broadcasting anywhere: shape and dtype agreement is always explicit.
 """
 
 import numpy as np
 
+# a Tensor keeps the dtype of a float32 or float64 array and converts
+# anything else (ints, bools, Python floats) to DTYPE
 DTYPE = np.float64
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 BN_EPS = 1e-5     # batch_norm2d's variance offset
 FD_EPS = 1e-6     # finite_diff_check's central-difference step
 FD_FLOOR = 1e-6   # finite_diff_check's least relative-error denominator
 
 
 class ShapeMismatchError(ValueError):
-    """Raised when operand shapes disagree (no silent broadcasting)."""
+    """Raised when operand shapes or dtypes disagree (no silent
+    broadcasting or promotion)."""
 
 
 class GraphError(RuntimeError):
@@ -46,7 +51,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else \
+            data.astype(DTYPE)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -88,9 +95,17 @@ def _accum(t, g):
     t.grad += g
 
 
+def _require_same_dtype(op, a, *others):
+    for b in others:
+        if b.data.dtype != a.data.dtype:
+            raise ShapeMismatchError("%s: dtype %s vs %s"
+                                     % (op, a.data.dtype, b.data.dtype))
+
+
 def _require_same_shape(op, a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError("%s: shape %s vs %s" % (op, a.shape, b.shape))
+    _require_same_dtype(op, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +142,7 @@ def scale(a, c):
 
 def mul_const(a, arr):
     """Elementwise product with a constant array (no gradient to arr)."""
-    arr = np.asarray(arr, dtype=DTYPE)
+    arr = np.asarray(arr, dtype=a.data.dtype)
     if arr.shape != a.shape:
         raise ShapeMismatchError("mul_const: shape %s vs %s"
                                  % (a.shape, arr.shape))
@@ -151,16 +166,18 @@ def relu(a):
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
 # a conv lowers its input in blocks of whole output rows, one at a time.
-# A backward block holds at most this many elements (32 MB of float64),
-# or one output row where a row is larger; a forward block is capped here
-# but sized by _FORWARD_BLOCK, which splits even the 3.2 M-element patch
-# matrix of a 64x64 width-8 network's largest decoder conv
+# A backward block holds at most this many elements (16 MB of float32,
+# 32 MB of float64), or one output row where a row is larger; a forward
+# block is capped here but sized by _FORWARD_BLOCK, which splits even the
+# 3.2 M-element patch matrix of a 64x64 width-8 network's largest decoder
+# conv
 _PATCH_LIMIT = 1 << 22
-# a forward block holds at most this many elements (8 MB), or 16 times
-# the weights' where that is more, up to _PATCH_LIMIT. A smaller block
-# stays nearer the cache between its copy and its GEMM (a 32 MB block is
-# a fresh mapping each time); the floor keeps 16 GEMM columns per output
-# channel, since every GEMM call re-packs the whole weight matrix
+# a forward block holds at most this many elements (4 MB of float32, 8 MB
+# of float64), or 16 times the weights' where that is more, up to
+# _PATCH_LIMIT. A smaller block stays nearer the cache between its copy
+# and its GEMM (a block at _PATCH_LIMIT is a fresh mapping each time);
+# the floor keeps 16 GEMM columns per output channel, since every GEMM
+# call re-packs the whole weight matrix
 _FORWARD_BLOCK = 1 << 20
 
 
@@ -176,18 +193,18 @@ def _im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):
     until the next one is requested."""
     c, h, w = x.shape
     hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
-    xc = np.zeros((c, hc, wc), dtype=DTYPE)
+    xc = np.zeros((c, hc, wc), dtype=x.dtype)
     xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
     e, k = xc.itemsize, c * kh * kw
     limit = min(_PATCH_LIMIT, max(_FORWARD_BLOCK, 16 * weight_size))
     step = min(oh, max(1, limit // (k * ow)))
-    buf = np.empty(k * step * ow, dtype=DTYPE)
+    buf = np.empty(k * step * ow, dtype=x.dtype)
     for r0 in range(0, oh, step):
         rows = slice(r0, min(r0 + step, oh))
         n = rows.stop - r0
         cols = buf[:k * n * ow].reshape(c, kh, kw, n, ow)
         np.copyto(cols, np.ndarray(
-            (c, kh, kw, n, ow), DTYPE, xc, stride * r0 * wc * e,
+            (c, kh, kw, n, ow), x.dtype, xc, stride * r0 * wc * e,
             (hc * wc * e, wc * e, e, stride * wc * e, stride * e)))
         # free the canvas before the caller's last GEMM, so that a
         # single-block conv holds only its patch matrix through it
@@ -211,7 +228,7 @@ def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
     elements of GEMM results, unless it is one output row."""
     c, h, w = x.shape
     hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
-    xc = np.zeros((hc, wc, c), dtype=DTYPE)
+    xc = np.zeros((hc, wc, c), dtype=x.dtype)
     xc[top:top + h, left:left + w] = x[:, :hc - top, :wc - left].transpose(
         1, 2, 0)
     strip, e = kw * c, xc.itemsize
@@ -222,11 +239,11 @@ def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
         n = rows.stop - r0
         span = stride * (n - 1) + kh
         low = np.ascontiguousarray(np.ndarray(
-            (ow, span, strip), DTYPE, xc, stride * r0 * wc * c * e,
+            (ow, span, strip), x.dtype, xc, stride * r0 * wc * c * e,
             (stride * c * e, wc * c * e, e)))
         if rows.stop == oh:  # as in _im2col
             del xc
-        v = np.ndarray((n, ow, kh * strip), DTYPE, low, 0,
+        v = np.ndarray((n, ow, kh * strip), x.dtype, low, 0,
                        (stride * strip * e, span * strip * e, e))
         v.flags.writeable = False
         yield rows, v
@@ -242,7 +259,7 @@ def _conv_input_grad(g, weight, stride, h, w):
     swapped: the transposed convolution split into sub-pixel phases."""
     _, cin, kh, kw = weight.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    dx = np.zeros((cin, h, w), dtype=DTYPE)
+    dx = np.zeros((cin, h, w), dtype=g.dtype)
     for rh in range(min(stride, h)):
         for rw in range(min(stride, w)):
             taps = weight[:, :, (rh + ph) % stride::stride,
@@ -286,12 +303,13 @@ def conv2d(x, weight, bias, stride=1):
     if bias.shape != (cout,):
         raise ShapeMismatchError("conv2d: bias shape %s, expected (%d,)"
                                  % (bias.shape, cout))
+    _require_same_dtype("conv2d", x, weight, bias)
 
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     oh, ow = -(-h // stride), -(-w // stride)
 
     wmat = weight.data.reshape(cout, -1)
-    out = np.empty((cout, oh * ow), dtype=DTYPE)
+    out = np.empty((cout, oh * ow), dtype=x.data.dtype)
     for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow,
                               weight.size):
         np.matmul(wmat, cols, out=out[:, rows.start * ow:rows.stop * ow])
@@ -329,12 +347,13 @@ def batch_norm2d(x, gamma, beta):
     c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatchError("batch_norm2d: gamma/beta must be (%d,)" % c)
+    _require_same_dtype("batch_norm2d", x, gamma, beta)
 
     axes = (1, 2)
     bshape = (c, 1, 1)
     m = h * w
     if m == 1:
-        d, var = x.data.copy(), np.ones(c)
+        d, var = x.data.copy(), np.ones(c, dtype=x.data.dtype)
     else:
         # centred once, where np.var would recompute the mean and the
         # centred copy; the bits equal those of np.mean and np.var
@@ -394,7 +413,10 @@ def bilinear_upsample_x2(x):
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
                                  "got %s" % (x.shape,))
     c, h, w = x.shape
-    rows, cols = half_pixel_indices(h, 2 * h), half_pixel_indices(w, 2 * w)
+    # the blend weights in x's dtype, so that a float32 blend stays float32
+    rows, cols = [(i0, i1, f.astype(x.data.dtype))
+                  for i0, i1, f in (half_pixel_indices(h, 2 * h),
+                                    half_pixel_indices(w, 2 * w))]
 
     def bwd(g):
         if not x.requires_grad:
@@ -404,10 +426,10 @@ def bilinear_upsample_x2(x):
         ci0, ci1, cf = cols
         rf_ = rf[None, :, None]
         cf_ = cf[None, None, :]
-        drows = np.zeros((c, 2 * h, w), dtype=DTYPE)
+        drows = np.zeros((c, 2 * h, w), dtype=g.dtype)
         np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf_))
         np.add.at(drows, (slice(None), slice(None), ci1), g * cf_)
-        dx = np.zeros((c, h, w), dtype=DTYPE)
+        dx = np.zeros((c, h, w), dtype=g.dtype)
         np.add.at(dx, (slice(None), ri0), drows * (1.0 - rf_))
         np.add.at(dx, (slice(None), ri1), drows * rf_)
         _accum(x, dx)
@@ -428,19 +450,19 @@ def spatial_gradients(x):
         raise ShapeMismatchError("spatial_gradients: need H, W >= 2, got "
                                  "%dx%d" % (h, w))
 
-    hdiff = np.zeros((c, h, w), dtype=DTYPE)
+    hdiff = np.zeros((c, h, w), dtype=x.data.dtype)
     hdiff[:, :, :-1] = x.data[:, :, 1:] - x.data[:, :, :-1]
-    vdiff = np.zeros((c, h, w), dtype=DTYPE)
+    vdiff = np.zeros((c, h, w), dtype=x.data.dtype)
     vdiff[:, :-1, :] = x.data[:, 1:, :] - x.data[:, :-1, :]
 
     def bwd_h(g):
-        dx = np.zeros((c, h, w), dtype=DTYPE)
+        dx = np.zeros((c, h, w), dtype=g.dtype)
         dx[:, :, 1:] += g[:, :, :-1]
         dx[:, :, :-1] -= g[:, :, :-1]
         _accum(x, dx)
 
     def bwd_v(g):
-        dx = np.zeros((c, h, w), dtype=DTYPE)
+        dx = np.zeros((c, h, w), dtype=g.dtype)
         dx[:, 1:, :] += g[:, :-1, :]
         dx[:, :-1, :] -= g[:, :-1, :]
         _accum(x, dx)
@@ -477,7 +499,7 @@ def reduce(x, kind):
         def bwd(g):
             _accum(x, 2.0 * g * x.data)
 
-    return _result(np.asarray(val, dtype=DTYPE), (x,), bwd)
+    return _result(np.asarray(val), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +534,7 @@ def backward(out):
     # closure's references to its parents and their saved arrays, so
     # activations and gradients are freed while backward runs; leaves
     # keep their grads
-    out.grad = np.ones((), dtype=DTYPE)
+    out.grad = np.ones((), dtype=out.data.dtype)
     while order:
         node = order.pop()
         if node._backward_fn is not None and node.grad is not None:

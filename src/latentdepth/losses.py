@@ -5,6 +5,8 @@ import math
 from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError
 from .metrics import masked_pixels
@@ -99,7 +101,7 @@ def feature_gradient_loss(fy, ft):
         term = image_gradient_loss(a, b)
         total = term if total is None else ad.add(total, term)
     if total is None:
-        total = ad.Tensor(0.0)
+        total = ad.Tensor(np.zeros((), dtype=fy[0].data.dtype))
     return total
 
 

@@ -132,10 +132,16 @@ class DepthModel:
 
     seed=None draws nothing: conv weights start at zero, for a model whose
     arrays are about to be overwritten (load_checkpoint).
+
+    The weights are drawn in float64 whatever the dtype, then stored in
+    dtype: a float32 and a float64 model of one seed hold the same
+    weights up to rounding. Each forward pass converts an input that
+    records no graph to that dtype.
     """
 
-    def __init__(self, config, seed=0):
+    def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
+        self.dtype = np.dtype(dtype)
         rng = None if seed is None else np.random.default_rng(seed)
         widths = config.stage_widths
         # (name, module) in construction order: the order of the random
@@ -177,6 +183,8 @@ class DepthModel:
             self.dec_stages.append((head, block))
         # final layer is linear, one depth channel: no norm, no activation
         self.out_conv = add("out", Conv(1, widths[0], 9, rng=rng))
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -199,16 +207,21 @@ class DepthModel:
     # -- forward passes ----------------------------------------------------
 
     def _check_input(self, x):
+        """x checked against the input shape and, unless it records a
+        graph, converted to the parameters' dtype; a graph-recording x of
+        another dtype reaches the first conv, which rejects it."""
         expect = (self.config.input_channels,
                   self.config.input_h, self.config.input_w)
         if x.shape != expect:
             raise ShapeMismatchError("model input shape %s, expected %s"
                                      % (x.shape, expect))
+        if x.data.dtype == self.dtype or x.requires_grad:
+            return x
+        return Tensor(x.data.astype(self.dtype))
 
     def encoder_forward(self, x):
-        self._check_input(x)
+        h = self._check_input(x)
         taps = []
-        h = x
         for head, block in self.enc_stages:
             h = block(head(h))
             taps.append(h)
@@ -278,9 +291,10 @@ def extract_features(guided, y):
 
 # ---------------------------------------------------------------------------
 # checkpoint i/o: magic + 8-byte header length + JSON header + raw
-# little-endian float64 payload. Version 3 holds gamma and beta for each
-# normalization layer; version 2's config also held an output channel
-# count, and version 1 also held running statistics.
+# little-endian float64 payload, which holds a float32 model's values
+# exactly. Version 3 holds gamma and beta for each normalization layer;
+# version 2's config also held an output channel count, and version 1
+# also held running statistics.
 
 CKPT_MAGIC = b"LDEPTHCKPT1\n"
 CKPT_VERSION = 3
@@ -361,8 +375,11 @@ def load_checkpoint(path):
                                   "structure of its config")
         for name, arr in items:
             raw = fh.read(arr.size * 8)
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+            # a value past the model dtype's range becomes an infinity,
+            # which the check below reports
+            with np.errstate(over="ignore"):
+                arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
             if not np.isfinite(arr).all():
-                raise CheckpointError("checkpoint array %s is not finite"
-                                      % name)
+                raise CheckpointError("checkpoint array %s is not finite in "
+                                      "%s" % (name, arr.dtype))
     return model

@@ -111,6 +111,12 @@ def _run_loop(model, samples, config, batch_loss):
     return history
 
 
+def _target(model, sample):
+    """The sample's depth as the loss target: converted to the model's
+    dtype, as the model's entry converts its input."""
+    return Tensor(sample.depth.astype(model.dtype, copy=False))
+
+
 def train_guided(config, samples):
     """Stage 1: depth-to-depth reconstruction with masked L1."""
     if config.stage != "guided":
@@ -118,10 +124,10 @@ def train_guided(config, samples):
     model = DepthModel(config.net, seed=config.seed)
 
     def batch_loss(sample):
-        x = Tensor(sample.depth)
-        pred, _ = model.forward(x)
-        return losses.total_loss(pred, Tensor(sample.depth), sample.mask,
-                                 GUIDED_WEIGHTS, None, None)
+        depth = _target(model, sample)
+        pred, _ = model.forward(depth)
+        return losses.total_loss(pred, depth, sample.mask, GUIDED_WEIGHTS,
+                                 None, None)
 
     history = _run_loop(model, samples, config, batch_loss)
     return model, history
@@ -147,7 +153,7 @@ def train_color(config, samples, guided):
 
     def batch_loss(sample):
         pred, _ = model.forward(Tensor(sample.rgb))
-        target = Tensor(sample.depth)
+        target = _target(model, sample)
         fy = ft = None
         if need_features:
             # through the module attribute, so a wrapped

@@ -163,7 +163,8 @@ def test_criterion_5_resblock_identity():
         [b for _, b in model.dec_stages]
     n_exact = 0
     for block in blocks:
-        x = rng.standard_normal((block.conv1.weight.shape[0], 8, 8))
+        x = rng.standard_normal((block.conv1.weight.shape[0], 8,
+                                 8)).astype(model.dtype)
         out = block(Tensor(x))
         n_exact += int(np.array_equal(out.data, x))
     _verdict(5, n_exact == len(blocks),
@@ -212,16 +213,24 @@ def test_criterion_8_rmse_oracle_equivalence():
         s = synth_scene(900 + i, 32, 32, 2)
         pred = s.depth + rng.normal(0.0, 0.3, s.depth.shape)
         pairs.append((pred, s.depth, s.mask))
-    got = rmse(pairs).rmse
-    flat = np.concatenate(
-        [(y - t)[np.broadcast_to(np.asarray(m, bool)[None], y.shape)].ravel()
-         for y, t, m in pairs])
-    want = float(np.sqrt(np.mean(flat * flat)))
-    diff = abs(got - want)
-    tol = math.ulp(max(got, want))
-    _verdict(8, diff <= tol,
-             "pooled %.17g vs flat-vector oracle %.17g, |diff| %.3g "
-             "(<= 1 ulp = %.3g)" % (got, want, diff, tol))
+    details, ok = [], True
+    # float32 predictions, as the models make them: rmse accumulates in
+    # float64, and so does the oracle (float32 - float64 is float64)
+    for dtype in (np.float64, np.float32):
+        cast = [(y.astype(dtype), t, m) for y, t, m in pairs]
+        got = rmse(cast).rmse
+        flat = np.concatenate(
+            [(y - t)[np.broadcast_to(np.asarray(m, bool)[None],
+                                     y.shape)].ravel()
+             for y, t, m in cast])
+        want = float(np.sqrt(np.mean(flat * flat)))
+        diff = abs(got - want)
+        tol = math.ulp(max(got, want))
+        ok = ok and diff <= tol
+        details.append("%s pooled %.17g vs flat-vector oracle %.17g, "
+                       "|diff| %.3g (<= 1 ulp = %.3g)"
+                       % (np.dtype(dtype), got, want, diff, tol))
+    _verdict(8, ok, "; ".join(details))
 
 
 def test_criterion_9_io_round_trips(pipeline, tmp_path):

@@ -743,3 +743,88 @@ def test_all_ops_pass_gradient_suite_many_seeds():
     for seed in range(3):
         for check in run_gradient_checks(seed=seed):
             assert check["passed"], check
+
+
+# ---------------------------------------------------------------------------
+# float32 against float64
+
+# op -> (function of its tensor operands, operand shapes); each operand
+# gets a gradient
+DTYPE_CASES = {
+    "add": (ad.add, [(2, 4, 5), (2, 4, 5)]),
+    "sub": (ad.sub, [(2, 4, 5), (2, 4, 5)]),
+    "scale": (lambda a: ad.scale(a, 0.7), [(2, 4, 5)]),
+    "mul_const": (lambda a: ad.mul_const(
+        a, np.random.default_rng(1).standard_normal((2, 4, 5))),
+        [(2, 4, 5)]),
+    "relu": (ad.relu, [(2, 4, 5)]),
+    "conv2d/stride1": (lambda x, w, b: ad.conv2d(x, w, b, 1),
+                       [(3, 7, 6), (4, 3, 3, 3), (4,)]),
+    "conv2d/stride2": (lambda x, w, b: ad.conv2d(x, w, b, 2),
+                       [(3, 7, 6), (4, 3, 5, 3), (4,)]),
+    "batch_norm2d": (ad.batch_norm2d, [(3, 5, 4), (3,), (3,)]),
+    "batch_norm2d/single": (ad.batch_norm2d, [(3, 1, 1), (3,), (3,)]),
+    "bilinear_upsample_x2": (ad.bilinear_upsample_x2, [(2, 3, 4)]),
+    "spatial_gradients": (lambda x: ad.add(*ad.spatial_gradients(x)),
+                          [(2, 4, 5)]),
+    "reduce/sum": (lambda x: ad.reduce(x, "sum"), [(2, 4, 5)]),
+    "reduce/l1": (lambda x: ad.reduce(x, "l1"), [(2, 4, 5)]),
+    "reduce/l2sq": (lambda x: ad.reduce(x, "l2sq"), [(2, 4, 5)]),
+}
+
+# the largest difference of a float32 result from its float64 one, over
+# the float64 result's largest magnitude: about 16 float32 epsilons
+# (1.2e-7 each). The cases below read at most 3.5e-7
+F32_TOL = 2e-6
+_ACCUM = ad._accum
+
+
+def _forward_backward(op, inputs, dtype, monkeypatch):
+    """op's output and its operands' gradients of the sum of squares of
+    the randomly weighted output, computed in dtype. Every gradient that
+    a backward closure passes on must be in dtype too: accumulating it
+    into an operand's gradient would hide a promotion."""
+    f, _ = DTYPE_CASES[op]
+
+    def accum(t, g):
+        assert g.dtype == dtype, "%s passes a %s gradient" % (op, g.dtype)
+        _ACCUM(t, g)
+
+    monkeypatch.setattr(ad, "_accum", accum)
+    ts = [Tensor(x.astype(dtype), requires_grad=True) for x in inputs]
+    out = f(*ts)
+    weights = np.random.default_rng(2).standard_normal(out.shape)
+    loss = ad.reduce(ad.mul_const(out, weights), "l2sq")
+    assert loss.data.dtype == dtype
+    backward(loss)
+    return [out.data] + [t.grad for t in ts]
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("op", sorted(DTYPE_CASES))
+    def test_float32_matches_float64(self, op, monkeypatch):
+        rng = np.random.default_rng(len(op))
+        inputs = [rng.standard_normal(s) + 0.5
+                  for s in DTYPE_CASES[op][1]]
+        want = _forward_backward(op, inputs, np.float64, monkeypatch)
+        got = _forward_backward(op, inputs, np.float32, monkeypatch)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32
+            assert np.abs(g - w).max() <= F32_TOL * np.abs(w).max()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "conv2d/stride1",
+                                    "batch_norm2d"])
+    def test_mixed_dtypes_rejected(self, op):
+        f, shapes = DTYPE_CASES[op]
+        for first, last in [("float32", "float64"), ("float64", "float32")]:
+            ts = [Tensor(np.ones(s, dtype=first)) for s in shapes[:-1]]
+            with pytest.raises(ShapeMismatchError,
+                               match="dtype %s vs %s" % (first, last)):
+                f(*ts, Tensor(np.ones(shapes[-1], dtype=last)))
+
+    def test_tensor_keeps_float_dtypes_and_converts_the_rest(self):
+        for dtype in (np.float32, np.float64):
+            assert Tensor(np.ones(2, dtype)).data.dtype == dtype
+        for data in (np.ones(2, np.int64), np.ones(2, np.float16), 1.5,
+                     [1, 2]):
+            assert Tensor(data).data.dtype == np.float64

@@ -147,7 +147,7 @@ class TestTrainEvalPredict:
     def _overflowing_ckpt(color_ckpt, tmp_path):
         model = load_checkpoint(color_ckpt)
         # finite weights whose products overflow
-        model.out_conv.weight.data[...] = 1e308
+        model.out_conv.weight.data[...] = np.finfo(model.dtype).max
         ckpt = str(tmp_path / "huge.ckpt")
         save_checkpoint(model, ckpt)
         return ckpt
@@ -409,6 +409,9 @@ CKPT_CASES = {
     # a NaN as the first element of enc0.conv.weight
     "non_finite_payload": lambda h, p: (
         h, np.full(1, np.nan).astype("<f8").tobytes() + p[8:], None),
+    # finite in the <f8 payload, past the range of the float32 model
+    "float32_overflow_payload": lambda h, p: (
+        h, np.full(1, 1e300).astype("<f8").tobytes() + p[8:], None),
 }
 
 # manifest document -> malformed document
@@ -481,7 +484,8 @@ GEN_CASES = {
 REPORT_CASES = {"ours_nan": "nan", "ours_inf": "inf", "ours_negative": "-0.5"}
 
 CKPT_FRAGMENTS = {"v1": "version 1", "v2": "version 2",
-                  "v3_output_channels": "bad checkpoint config"}
+                  "v3_output_channels": "bad checkpoint config",
+                  "float32_overflow_payload": "not finite"}
 
 TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
          for c in CKPT_CASES] + \
@@ -574,6 +578,8 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output paths were checked")
 
 
+# a numpy warning is an error: each case ends in its one-line message
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMalformedInputs:
     @pytest.mark.parametrize("kind,case,code,fragment", TABLE,
                              ids=["%s-%s" % row[:2] for row in TABLE])

@@ -174,7 +174,9 @@ class TestTotalLoss:
     def _setup(self, seed):
         cfg = NetworkConfig(input_channels=1, base_width=2,
                             bottleneck_blocks=1, input_h=16, input_w=16)
-        guided = DepthModel(cfg, seed=seed)
+        # float64, as the gradient suite's: the terms are compared at
+        # float64 precision and checked by finite differences
+        guided = DepthModel(cfg, seed=seed, dtype=np.float64)
         guided.freeze()
         return lambda y: extract_features(guided, y)
 

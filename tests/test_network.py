@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ class TestShapePipeline:
 
     def test_bottleneck_preserves_shape(self):
         model = DepthModel(DESK, seed=6)
-        latent = Tensor(np.random.default_rng(7).random((32, 2, 2)))
+        latent = Tensor(np.random.default_rng(7).random((32, 2, 2)).astype(
+            model.dtype))
         assert model.bottleneck_forward(latent).shape == (32, 2, 2)
 
     def test_decoder_rejects_wrong_latent(self):
@@ -134,11 +136,12 @@ class TestModelProperties:
         rng = np.random.default_rng(3)
         for _, block in model.enc_stages:
             c = block.conv1.weight.shape[0]
-            x = rng.standard_normal((c, 8, 8))
+            x = rng.standard_normal((c, 8, 8)).astype(model.dtype)
             np.testing.assert_array_equal(
                 block(Tensor(x)).data, x)
         for block in model.bottleneck:
-            x = rng.standard_normal((block.conv1.weight.shape[0], 4, 4))
+            x = rng.standard_normal((block.conv1.weight.shape[0], 4,
+                                     4)).astype(model.dtype)
             np.testing.assert_array_equal(
                 block(Tensor(x)).data, x)
 
@@ -174,6 +177,47 @@ class TestModelProperties:
         assert found_negative
 
 
+class TestDtype:
+    def test_float32_by_default(self):
+        model = DepthModel(DESK, seed=40)
+        assert model.dtype == np.float32
+        assert all(a.dtype == np.float32 for _, a in model.state_items())
+
+    def test_same_draws_in_either_dtype(self):
+        f32 = DepthModel(DESK, seed=41)
+        f64 = DepthModel(DESK, seed=41, dtype=np.float64)
+        for (_, a), (_, b) in zip(f32.state_items(), f64.state_items()):
+            assert b.dtype == np.float64
+            assert a.tobytes() == b.astype(np.float32).tobytes()
+
+    def test_input_converted_at_entry(self):
+        model = DepthModel(DESK, seed=42)
+        x = np.random.default_rng(43).random((3, 32, 32))
+        pred, taps = model.forward(Tensor(x))
+        assert pred.data.dtype == np.float32
+        assert all(t.data.dtype == np.float32 for t in taps)
+        same, _ = model.forward(Tensor(x.astype(np.float32)))
+        assert pred.data.tobytes() == same.data.tobytes()
+
+    def test_float32_forward_near_float64(self):
+        # the same weights and input in both dtypes: the predictions
+        # differ by float32 rounding, which the normalizations over the
+        # four values of each 2x2 map amplify (2.2e-4 at most over eight
+        # seeds)
+        x = np.random.default_rng(44).random((3, 32, 32))
+        preds = [DepthModel(DESK, seed=45, dtype=dtype).forward(
+            Tensor(x))[0].data for dtype in (np.float32, np.float64)]
+        assert np.abs(preds[0] - preds[1]).max() <= \
+            1e-3 * np.abs(preds[1]).max()
+
+    def test_graph_recording_input_of_other_dtype_rejected(self):
+        model = DepthModel(DESK, seed=46)
+        x = Tensor(np.zeros((3, 32, 32)), requires_grad=True)
+        with pytest.raises(ShapeMismatchError, match="float32 vs float64|"
+                           "float64 vs float32"):
+            model.forward(x)
+
+
 class TestExtractFeatures:
     def test_deepest_layer_shape(self):
         guided = DepthModel(GUIDED_DESK, seed=20)
@@ -201,8 +245,10 @@ class TestExtractFeatures:
     def test_gradient_flows_into_y_not_params(self):
         guided = DepthModel(GUIDED_DESK, seed=25)
         guided.freeze()
-        y = Tensor(np.random.default_rng(26).random((1, 32, 32)),
-                   requires_grad=True)
+        # a graph-recording input is not converted: it comes in the
+        # network's dtype, as the color network's prediction does
+        y = Tensor(np.random.default_rng(26).random((1, 32, 32)).astype(
+            guided.dtype), requires_grad=True)
         feats = extract_features(guided, y)
         backward(ad.reduce(feats[4], "l2sq"))
         assert y.grad is not None and np.abs(y.grad).max() > 0
@@ -211,7 +257,7 @@ class TestExtractFeatures:
     def test_gradient_wrt_y_finite_diff(self):
         cfg = NetworkConfig(input_channels=1, base_width=2,
                             bottleneck_blocks=1, input_h=16, input_w=16)
-        guided = DepthModel(cfg, seed=27)
+        guided = DepthModel(cfg, seed=27, dtype=np.float64)
         guided.freeze()
 
         def f(t):
@@ -228,7 +274,7 @@ class TestCheckpoint:
         model = DepthModel(DESK, seed=30)
         rng = np.random.default_rng(31)
         for p in model.parameters():
-            p.data = p.data + rng.standard_normal(p.shape)
+            p.data += rng.standard_normal(p.shape)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -260,6 +306,30 @@ class TestCheckpoint:
         save_checkpoint(DepthModel(DESK, seed=32), p1)
         save_checkpoint(DepthModel(DESK, seed=32), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_float32_round_trip_keeps_dtype_and_bytes(self, tmp_path):
+        # the <f8 payload holds every float32 value exactly
+        model = DepthModel(DESK, seed=35)
+        rng = np.random.default_rng(36)
+        for p in model.parameters():
+            p.data += rng.standard_normal(p.shape)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for (_, a), (_, b) in zip(model.state_items(), loaded.state_items()):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    def test_value_past_float32_range_rejected(self, tmp_path):
+        model = DepthModel(DESK, seed=37, dtype=np.float64)
+        model.out_conv.bias.data[0] = 1e300  # finite in float64
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError,
+                               match="out.bias is not finite in float32"):
+                load_checkpoint(path)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from latentdepth import autodiff as ad
-from latentdepth import losses, network
+from latentdepth import losses, network, training
 from latentdepth.autodiff import ShapeMismatchError, Tensor
 from latentdepth.data import synth_scene
 from latentdepth.losses import LossWeights
@@ -258,8 +259,8 @@ class TestTrainColor:
             preds.append(y)
             if len(preds) <= 4:
                 return feats
-            return [Tensor(np.full(f.shape, np.nan), requires_grad=True)
-                    for f in feats]
+            return [Tensor(np.full(f.shape, np.nan, f.data.dtype),
+                           requires_grad=True) for f in feats]
 
         monkeypatch.setattr(network, "extract_features", poisoned)
         assert self._color_error() == "non-finite loss at step 2: latent"
@@ -311,7 +312,7 @@ class TestPerSampleBackward:
         total = None
         for i in idxs:
             s = samples[i]
-            target = Tensor(s.depth)
+            target = Tensor(s.depth.astype(model.dtype))
             if stage == "guided":
                 pred, _ = model.forward(Tensor(s.depth))
                 loss = losses.data_loss(pred, target, s.mask)
@@ -423,15 +424,19 @@ class TestConstantPredictor:
 
 
 class TestLrSweep:
-    def test_larger_lr_moves_params_farther_in_one_step(self):
-        # one step from identical init: displacement is linear in lr
+    def test_larger_lr_moves_params_farther_in_one_step(self, monkeypatch):
+        # one step from identical init: displacement is linear in lr; in
+        # float64, so that rounding each moved parameter to the model's
+        # dtype does not blur the ratio
+        monkeypatch.setattr(training, "DepthModel",
+                            functools.partial(DepthModel, dtype=np.float64))
         samples = _samples(2, seed=13)
         norms = {}
         for lr in (0.001, 0.01):
             config = TrainConfig(stage="guided", net=NET16, steps=1,
                                  batch_size=2, learning_rate=lr, seed=13)
             model, _ = train_guided(config, samples)
-            init = DepthModel(NET16, seed=13)
+            init = DepthModel(NET16, seed=13, dtype=np.float64)
             sq = 0.0
             for p, q in zip(model.parameters(), init.parameters()):
                 sq += float(np.sum((p.data - q.data) ** 2))
