@@ -168,17 +168,16 @@ def relu(a):
 # a conv lowers its input in blocks of whole output rows, one at a time.
 # A backward block holds at most this many elements (16 MB of float32,
 # 32 MB of float64), or one output row where a row is larger; a forward
-# block is capped here but sized by _FORWARD_BLOCK, which splits even the
-# 3.2 M-element patch matrix of a 64x64 width-8 network's largest decoder
-# conv
+# block is capped here too, which only the paper-scale network's widest
+# convs reach
 _PATCH_LIMIT = 1 << 22
-# a forward block holds at most this many elements (4 MB of float32, 8 MB
-# of float64), or 16 times the weights' where that is more, up to
-# _PATCH_LIMIT. A smaller block stays nearer the cache between its copy
-# and its GEMM (a block at _PATCH_LIMIT is a fresh mapping each time);
+# a forward block holds at most this many elements (512 KB of float32,
+# 1 MB of float64), or 16 times the weights' where that is more, up to
+# _PATCH_LIMIT. A block that fits the per-core L2 stays there between its
+# copy and the GEMM's packing of it (Goto & van de Geijn, ACM TOMS 2008);
 # the floor keeps 16 GEMM columns per output channel, since every GEMM
 # call re-packs the whole weight matrix
-_FORWARD_BLOCK = 1 << 20
+_FORWARD_BLOCK = 1 << 17
 
 
 def _im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):

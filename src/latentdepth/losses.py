@@ -47,7 +47,7 @@ def data_loss(y, target, mask):
     n_valid = int(m.sum())
     if n_valid == 0:
         raise ValueError("data_loss: mask has no valid pixels")
-    diff = ad.mul_const(ad.sub(y, target), m.astype(float))
+    diff = ad.mul_const(ad.sub(y, target), m.astype(y.data.dtype))
     return ad.scale(ad.reduce(diff, "l1"), 1.0 / n_valid)
 
 

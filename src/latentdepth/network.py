@@ -55,16 +55,19 @@ class NetworkConfig:
 
 
 class Conv:
-    def __init__(self, cout, cin, k, stride=1, rng=None):
+    """Weights drawn in float64 from rng and stored in dtype, or zeros
+    allocated in dtype when rng is None; zero biases."""
+
+    def __init__(self, cout, cin, k, stride=1, rng=None, dtype=np.float64):
         self.stride = stride
         shape = (cout, cin, k, k)
         if rng is None:
-            w = np.zeros(shape)
+            w = np.zeros(shape, dtype)
         else:
             limit = 1.0 / np.sqrt(cin * k * k)
-            w = rng.uniform(-limit, limit, shape)
+            w = rng.uniform(-limit, limit, shape).astype(dtype, copy=False)
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype), requires_grad=True)
 
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias, self.stride)
@@ -78,9 +81,9 @@ class BatchNorm:
     """Per-sample normalization with a learned per-channel affine map
     (see ad.batch_norm2d)."""
 
-    def __init__(self, channels):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+    def __init__(self, channels, dtype=np.float64):
+        self.gamma = Tensor(np.ones(channels, dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype), requires_grad=True)
 
     def __call__(self, x):
         return ad.batch_norm2d(x, self.gamma, self.beta)
@@ -93,11 +96,11 @@ class ResBlock:
     """Identity skip plus conv-BN-relu-conv-BN branch; no ReLU after the
     join, so a zeroed branch (zero convs: no rng) is an exact identity."""
 
-    def __init__(self, channels, kernel, rng=None):
-        self.conv1 = Conv(channels, channels, kernel, rng=rng)
-        self.bn1 = BatchNorm(channels)
-        self.conv2 = Conv(channels, channels, kernel, rng=rng)
-        self.bn2 = BatchNorm(channels)
+    def __init__(self, channels, kernel, rng=None, dtype=np.float64):
+        self.conv1 = Conv(channels, channels, kernel, rng=rng, dtype=dtype)
+        self.bn1 = BatchNorm(channels, dtype)
+        self.conv2 = Conv(channels, channels, kernel, rng=rng, dtype=dtype)
+        self.bn2 = BatchNorm(channels, dtype)
 
     def __call__(self, x):
         h = ad.relu(self.bn1(self.conv1(x)))
@@ -111,9 +114,9 @@ class ResBlock:
 
 
 class _ConvBnRelu:
-    def __init__(self, cout, cin, k, stride, rng):
-        self.conv = Conv(cout, cin, k, stride, rng)
-        self.bn = BatchNorm(cout)
+    def __init__(self, cout, cin, k, stride, rng, dtype):
+        self.conv = Conv(cout, cin, k, stride, rng, dtype)
+        self.bn = BatchNorm(cout, dtype)
 
     def __call__(self, x):
         return ad.relu(self.bn(self.conv(x)))
@@ -130,8 +133,9 @@ class DepthModel:
     the deepest latent (raw encoder latent from encoder_forward, bottleneck
     output from forward).
 
-    seed=None draws nothing: conv weights start at zero, for a model whose
-    arrays are about to be overwritten (load_checkpoint).
+    seed=None draws nothing: conv weights start at zero, allocated in
+    dtype, for a model whose arrays are about to be overwritten
+    (load_checkpoint).
 
     The weights are drawn in float64 whatever the dtype, then stored in
     dtype: a float32 and a float64 model of one seed hold the same
@@ -156,16 +160,17 @@ class DepthModel:
         in_c = config.input_channels
         for i, (w, k) in enumerate(zip(widths, ENCODER_KERNELS)):
             head = add("enc%d" % i,
-                       _ConvBnRelu(w, in_c, k, 1 if i == 0 else 2, rng))
-            block = add("enc%d.block" % i, ResBlock(w, k, rng))
+                       _ConvBnRelu(w, in_c, k, 1 if i == 0 else 2, rng, dtype))
+            block = add("enc%d.block" % i, ResBlock(w, k, rng, dtype))
             self.enc_stages.append((head, block))
             in_c = w
         self.enc_latent = add("enc_latent",
-                              _ConvBnRelu(widths[3], widths[3], 3, 2, rng))
+                              _ConvBnRelu(widths[3], widths[3], 3, 2, rng,
+                                          dtype))
 
         self.bottleneck = [
             add("bottleneck%d" % i,
-                ResBlock(widths[3], BOTTLENECK_KERNEL, rng))
+                ResBlock(widths[3], BOTTLENECK_KERNEL, rng, dtype))
             for i in range(config.bottleneck_blocks)]
 
         # strict mirror of the encoder: conv kernel at each decoder stage
@@ -178,13 +183,13 @@ class DepthModel:
         ]
         self.dec_stages = []
         for i, (in_w, out_w, conv_k, block_k) in enumerate(dec_plan):
-            head = add("dec%d" % i, _ConvBnRelu(out_w, in_w, conv_k, 1, rng))
-            block = add("dec%d.block" % i, ResBlock(out_w, block_k, rng))
+            head = add("dec%d" % i,
+                       _ConvBnRelu(out_w, in_w, conv_k, 1, rng, dtype))
+            block = add("dec%d.block" % i,
+                        ResBlock(out_w, block_k, rng, dtype))
             self.dec_stages.append((head, block))
         # final layer is linear, one depth channel: no norm, no activation
-        self.out_conv = add("out", Conv(1, widths[0], 9, rng=rng))
-        for p in self.parameters():
-            p.data = p.data.astype(self.dtype, copy=False)
+        self.out_conv = add("out", Conv(1, widths[0], 9, rng=rng, dtype=dtype))
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -383,6 +383,40 @@ class TestConv2d:
             out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride).data
             assert out.tobytes() == ref.tobytes()
 
+    def test_gradient_suite_convs_are_single_blocks(self, monkeypatch):
+        # a float64 GEMM's bits depend on its column count: under the
+        # default limits every conv the suite runs is one block, the
+        # largest the 2->2 9x9 conv at 16x16 (2 * 81 * 256 = 41,472
+        # elements), so no block rule can move criterion 2 unseen
+        blocks = self._record_blocks(monkeypatch)
+        monkeypatch.setattr(verify, "finite_diff_check",
+                            lambda f, x: f(x).item() * 0.0)
+        verify.run_gradient_checks(seed=0)
+        forward = [blk for blk in blocks if blk.kind == "im2col"]
+        assert len(forward) >= 10
+        # a conv split into blocks yields one that starts past row 0
+        assert all(blk.rows.start == 0 for blk in forward)
+        assert max(blk.elements for blk in forward) == 2 * 81 * 16 * 16
+
+    def test_multi_block_float32_forward(self, monkeypatch):
+        # the 8->8 9x9 conv at 64x64 of a width-8 network splits into
+        # blocks of a few output rows under the default limits: the
+        # float32 result repeats bit for bit and stays within F32_TOL of
+        # the float64 single-GEMM result
+        blocks = self._record_blocks(monkeypatch)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 64, 64))
+        w = rng.standard_normal((8, 8, 9, 9)) / 9
+        b = rng.standard_normal(8)
+        ref = w.reshape(8, -1) @ _loop_patches(x, 9, 9, 1).reshape(648, -1)
+        ref = (ref + b[:, None]).reshape(8, 64, 64)
+        x, w, b = (Tensor(a.astype(np.float32)) for a in (x, w, b))
+        out = ad.conv2d(x, w, b, 1).data
+        assert len(blocks) >= 2
+        assert out.dtype == np.float32
+        assert ad.conv2d(x, w, b, 1).data.tobytes() == out.tobytes()
+        assert np.abs(out - ref).max() <= F32_TOL * np.abs(ref).max()
+
     @pytest.mark.parametrize("k,stride", [(9, 1), (7, 2), (5, 2), (3, 2),
                                           (3, 1)])
     def test_grads_match_direct_sum(self, k, stride):

@@ -53,6 +53,26 @@ class TestDataLoss:
         assert data_loss(Tensor(x), Tensor(x.copy()),
                          np.ones((4, 4), bool)).item() == 0.0
 
+    def test_float32_mask_stays_float32(self, monkeypatch):
+        # the 0/1 mask is built in the prediction's dtype: mul_const gets
+        # no float64 array to convert
+        seen = []
+        real = ad.mul_const
+
+        def mul_const(a, arr):
+            seen.append(arr.dtype)
+            return real(a, arr)
+
+        monkeypatch.setattr(ad, "mul_const", mul_const)
+        rng = np.random.default_rng(1)
+        y, t = (Tensor(rng.random((2, 3, 4)).astype(np.float32))
+                for _ in range(2))
+        mask = rng.random((3, 4)) > 0.3
+        loss = data_loss(y, t, mask)
+        assert seen == [np.float32] and loss.data.dtype == np.float32
+        diff = np.abs(y.data - t.data)[:, mask]
+        assert loss.item() == pytest.approx(diff.sum() / diff.size, rel=1e-6)
+
     def test_empty_mask_rejected(self):
         y = Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(ValueError, match="no valid"):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,22 @@ class TestDtype:
             Tensor(x))[0].data for dtype in (np.float32, np.float64)]
         assert np.abs(preds[0] - preds[1]).max() <= \
             1e-3 * np.abs(preds[1]).max()
+
+    def test_seed_none_model_allocates_in_its_dtype(self):
+        # load_checkpoint builds such a model on every reload: its zeros
+        # are allocated in float32, where float64 zeros cast afterwards
+        # would peak near twice the parameters' bytes
+        config = NetworkConfig(input_channels=3, base_width=16,
+                               bottleneck_blocks=2, input_h=32, input_w=32)
+        tracemalloc.start()
+        try:
+            model = DepthModel(config, seed=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = sum(a.nbytes for _, a in model.state_items())
+        assert all(a.dtype == np.float32 for _, a in model.state_items())
+        assert peak < 1.5 * params
 
     def test_graph_recording_input_of_other_dtype_rejected(self):
         model = DepthModel(DESK, seed=46)
