@@ -5,6 +5,9 @@ normalization, relu, add, factor-2 bilinear upsampling, forward-difference
 spatial gradients, and scalar reductions. Every op computes in its
 operands' dtype, float32 or float64, and allocates nothing wider; no
 broadcasting anywhere: shape and dtype agreement is always explicit.
+A bilinear resample is one (tn, n) matrix per axis (resize_matrix), which
+resample applies: the upsample's forward and the data loader's resize
+multiply by the matrices, and the upsample's backward by their transposes.
 """
 
 import numpy as np
@@ -385,55 +388,39 @@ def batch_norm2d(x, gamma, beta):
 # ---------------------------------------------------------------------------
 # bilinear resampling (half-pixel-centered sampling)
 
-def half_pixel_indices(n, tn):
-    """Resampling an axis of n pixels to tn pixels with half-pixel
-    centers: per output pixel, the lower source index i0, the upper one
-    i1 = min(i0 + 1, n - 1) and the weight of i1. Source positions clamp
-    to [0, n - 1]."""
+def resize_matrix(n, tn):
+    """The (tn, n) matrix that resamples an axis of n pixels to tn pixels
+    bilinearly with half-pixel centers: row i weighs the two source
+    pixels nearest output pixel i's center, clamped to [0, n - 1]."""
     src = np.clip((np.arange(tn) + 0.5) * n / tn - 0.5, 0, n - 1)
     i0 = np.floor(src).astype(np.intp)
-    return i0, np.minimum(i0 + 1, n - 1), src - i0
+    frac = src - i0
+    u = np.zeros((tn, n))
+    u[np.arange(tn), i0] = 1 - frac
+    u[np.arange(tn), np.minimum(i0 + 1, n - 1)] += frac
+    return u
 
 
-def bilinear_resample(img, rows, cols):
-    """Bilinear resample of a (C, H, W) array, rows first, then columns;
-    rows and cols are each axis's (i0, i1, weight of i1) triple, as
-    half_pixel_indices returns them."""
-    ri0, ri1, rf = rows
-    ci0, ci1, cf = cols
-    rf_ = rf[None, :, None]
-    cf_ = cf[None, None, :]
-    by_rows = img[:, ri0, :] * (1 - rf_) + img[:, ri1, :] * rf_
-    return by_rows[:, :, ci0] * (1 - cf_) + by_rows[:, :, ci1] * cf_
+def resample(img, uh, uw):
+    """uh @ img[c] @ uw.T for every channel c of a (C, H, W) array: rows
+    first, then columns."""
+    return np.matmul(np.matmul(uh, img), uw.T)
 
 
 def bilinear_upsample_x2(x):
     if x.data.ndim != 3:
         raise ShapeMismatchError("bilinear_upsample_x2: input must be CxHxW, "
                                  "got %s" % (x.shape,))
-    c, h, w = x.shape
-    # the blend weights in x's dtype, so that a float32 blend stays float32
-    rows, cols = [(i0, i1, f.astype(x.data.dtype))
-                  for i0, i1, f in (half_pixel_indices(h, 2 * h),
-                                    half_pixel_indices(w, 2 * w))]
+    _, h, w = x.shape
+    # in x's dtype, so that a float32 resample stays float32
+    uh = resize_matrix(h, 2 * h).astype(x.data.dtype)
+    uw = resize_matrix(w, 2 * w).astype(x.data.dtype)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        # transpose of the interpolation: scatter-add the same weights
-        ri0, ri1, rf = rows
-        ci0, ci1, cf = cols
-        rf_ = rf[None, :, None]
-        cf_ = cf[None, None, :]
-        drows = np.zeros((c, 2 * h, w), dtype=g.dtype)
-        np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf_))
-        np.add.at(drows, (slice(None), slice(None), ci1), g * cf_)
-        dx = np.zeros((c, h, w), dtype=g.dtype)
-        np.add.at(dx, (slice(None), ri0), drows * (1.0 - rf_))
-        np.add.at(dx, (slice(None), ri1), drows * rf_)
-        _accum(x, dx)
+        if x.requires_grad:  # the transposed linear map
+            _accum(x, resample(g, uh.T, uw.T))
 
-    return _result(bilinear_resample(x.data, rows, cols), (x,), bwd)
+    return _result(resample(x.data, uh, uw), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

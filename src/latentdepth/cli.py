@@ -154,12 +154,22 @@ def _load_samples(manifest_path, h, w, split):
 
 
 def _check_out_paths(args, *flags):
-    """Rejects, before any work, a directory or a path in a missing one."""
+    """Rejects, before any work, a directory or a path in a missing one,
+    and an output that names the file of an input or of another output."""
+    named = {os.path.realpath(path): flag
+             for flag in ("--model", "--guided", "--rgb", "--manifest")
+             if (path := getattr(args, flag[2:], None))}
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
-        if path and (os.path.isdir(path) or
-                     not os.path.isdir(os.path.dirname(path) or ".")):
+        if not path:
+            continue
+        if os.path.isdir(path) or \
+                not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError("%s: cannot write a file at %s" % (flag, path))
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise UsageError("%s and %s name the same file %s"
+                             % (other, flag, path))
 
 
 def _cmd_train(args):
@@ -266,6 +276,8 @@ def _cmd_report(args):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's generators reject it
+            raise UsageError("--seed must be >= 0, got %d" % args.seed)
         # an overflow surfaces as one error line from the finiteness
         # checks of predict, evaluate and training, not as numpy warnings
         with np.errstate(all="ignore"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import bilinear_resample, half_pixel_indices
+from .autodiff import resample, resize_matrix
 
 
 class DataError(ValueError):
@@ -158,14 +158,6 @@ def _nearest_indices(n, tn):
     return np.clip(np.rint(src).astype(np.intp), 0, n - 1)
 
 
-def _read_set(triple):
-    """The sorted source indices that a half_pixel_indices triple reads,
-    and the triple re-indexed into them."""
-    i0, i1, frac = triple
-    idx, pos = np.unique(np.concatenate([i0, i1]), return_inverse=True)
-    return idx, (pos[:len(i0)], pos[len(i0):], frac)
-
-
 def preprocess(rgb8, depth_mm, target_h, target_w):
     """A uint8 (H, W, 3) RGB frame and its uint16 (H, W) depth map in
     millimeters as an RgbdSample of target_h x target_w: RGB resized
@@ -176,10 +168,10 @@ def preprocess(rgb8, depth_mm, target_h, target_w):
     if target_h > h or target_w > w:
         raise DataError("target %dx%d larger than source %dx%d"
                         % (target_h, target_w, h, w))
-    rows, row_triple = _read_set(half_pixel_indices(h, target_h))
-    cols, col_triple = _read_set(half_pixel_indices(w, target_w))
-    rgb = bilinear_resample(_unit_rgb(rgb8[rows][:, cols]), row_triple,
-                            col_triple)
+    uh, uw = resize_matrix(h, target_h), resize_matrix(w, target_w)
+    # the source rows and columns that hold a nonzero weight
+    rows, cols = (np.flatnonzero(u.any(axis=0)) for u in (uh, uw))
+    rgb = resample(_unit_rgb(rgb8[rows][:, cols]), uh[:, rows], uw[:, cols])
     ri = _nearest_indices(h, target_h)
     ci = _nearest_indices(w, target_w)
     depth_mm = depth_mm[ri][:, ci]

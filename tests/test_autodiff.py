@@ -603,37 +603,32 @@ class TestBilinearUpsample:
 
     @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 1, 5), (5, 3, 7),
                                        (64, 4, 4), (16, 32, 32)])
-    def test_backward_bits_match_add_at(self, shape):
-        # the transposed interpolation as np.add.at scatters; signed
-        # zeros in g must come out as np.add.at's sums from zero do
+    def test_backward_is_adjoint(self, shape):
+        # <upsample(x), g> == <x, backward(g)>: the backward is the
+        # transpose of the forward's linear map, signed zeros in g too
         rng = np.random.default_rng(13)
         c, h, w = shape
         g = rng.standard_normal((c, 2 * h, 2 * w))
         g[:, ::3] = -0.0
         g[:, :, 1::4] = 0.0
-        ri0, ri1, rf = ad.half_pixel_indices(h, 2 * h)
-        ci0, ci1, cf = ad.half_pixel_indices(w, 2 * w)
-        drows = np.zeros((c, 2 * h, w))
-        np.add.at(drows, (slice(None), slice(None), ci0), g * (1.0 - cf))
-        np.add.at(drows, (slice(None), slice(None), ci1), g * cf)
-        ref = np.zeros((c, h, w))
-        np.add.at(ref, (slice(None), ri0),
-                  drows * (1.0 - rf[None, :, None]))
-        np.add.at(ref, (slice(None), ri1), drows * rf[None, :, None])
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        ad.bilinear_upsample_x2(x)._backward_fn(g)
-        assert x.grad.tobytes() == (np.zeros(shape) + ref).tobytes()
+        out = ad.bilinear_upsample_x2(x)
+        out._backward_fn(g)
+        lhs, rhs = np.vdot(out.data, g), np.vdot(x.data, x.grad)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_indices_computed_once_per_call(self, monkeypatch):
+    def test_matrices_built_once_per_call(self, monkeypatch):
         calls = []
-        real = ad.half_pixel_indices
+        real = ad.resize_matrix
 
         def counted(n, tn):
             calls.append((n, tn))
             return real(n, tn)
-        monkeypatch.setattr(ad, "half_pixel_indices", counted)
+        monkeypatch.setattr(ad, "resize_matrix", counted)
         x = Tensor(np.ones((2, 3, 5)), requires_grad=True)
-        backward(ad.reduce(ad.bilinear_upsample_x2(x), "sum"))
+        out = ad.bilinear_upsample_x2(x)
+        assert calls == [(3, 6), (5, 10)]
+        backward(ad.reduce(out, "sum"))
         assert calls == [(3, 6), (5, 10)]
 
 

@@ -458,18 +458,31 @@ FLAG_CASES = {
                         "Unable to allocate"),
 }
 
-# an output path that cannot be written -> (command, flag); it is
-# rejected before any work starts
+# an output path that cannot be written -> (command, flag, None), or an
+# output that names the file of another flag -> (command, flag, that
+# flag); each is rejected before any work starts
 OUTPUT_CASES = {
-    "ckpt_out_missing_dir": ("train-guided", "--ckpt-out"),
-    "loss_csv_missing_dir": ("train-guided", "--loss-csv"),
-    "eval_out_missing_dir": ("eval", "--out"),
-    "eval_out_is_dir": ("eval", "--out"),
-    "predict_out_missing_dir": ("predict", "--out"),
-    "predict_depth_out_is_dir": ("predict", "--depth-out"),
-    "gradcheck_out_missing_dir": ("gradcheck", "--out"),
-    "gen_out_missing_dir": ("gen-synth", "--out"),
-    "report_out_missing_dir": ("report", "--out"),
+    "ckpt_out_missing_dir": ("train-guided", "--ckpt-out", None),
+    "loss_csv_missing_dir": ("train-guided", "--loss-csv", None),
+    "eval_out_missing_dir": ("eval", "--out", None),
+    "eval_out_is_dir": ("eval", "--out", None),
+    "predict_out_missing_dir": ("predict", "--out", None),
+    "predict_depth_out_is_dir": ("predict", "--depth-out", None),
+    "gradcheck_out_missing_dir": ("gradcheck", "--out", None),
+    "gen_out_missing_dir": ("gen-synth", "--out", None),
+    "report_out_missing_dir": ("report", "--out", None),
+    "train_out_is_ckpt_out": ("train-guided", "--out", "--ckpt-out"),
+    "train_loss_csv_is_ckpt_out": ("train-guided", "--loss-csv",
+                                   "--ckpt-out"),
+    "train_out_is_guided": ("train-color", "--out", "--guided"),
+    "train_ckpt_out_is_manifest": ("train-guided", "--ckpt-out",
+                                   "--manifest"),
+    "train_ckpt_out_is_guided": ("train-color", "--ckpt-out", "--guided"),
+    "eval_out_is_model": ("eval", "--out", "--model"),
+    "eval_out_is_manifest": ("eval", "--out", "--manifest"),
+    "predict_out_is_depth_out": ("predict", "--out", "--depth-out"),
+    "predict_depth_out_is_model": ("predict", "--depth-out", "--model"),
+    "predict_out_is_rgb": ("predict", "--out", "--rgb"),
 }
 
 # gen-synth flags -> (extra argv, exit code, message fragment)
@@ -479,6 +492,9 @@ GEN_CASES = {
     "test_fraction_negative": (["--test-fraction", "-1"], 1,
                                "--test-fraction"),
 }
+
+# the commands that take --seed; a negative one is rejected at parsing
+SEED_COMMANDS = ("gen-synth", "train-guided", "train-color", "gradcheck")
 
 # report --ours values that are not a finite, non-negative RMSE
 REPORT_CASES = {"ours_nan": "nan", "ours_inf": "inf", "ours_negative": "-0.5"}
@@ -495,7 +511,10 @@ TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
     [("flags", c, code, frag)
      for c, (_, _, code, frag) in FLAG_CASES.items()] + \
     [("guided", "color_checkpoint", 2, "guided network takes 3")] + \
-    [("output", c, 2, flag) for c, (_, flag) in OUTPUT_CASES.items()] + \
+    [("output", c, 2, flag) if other is None else
+     ("output", c, 1, "%s and %s" % (other, flag))
+     for c, (_, flag, other) in OUTPUT_CASES.items()] + \
+    [("seed", c, 1, "--seed") for c in SEED_COMMANDS] + \
     [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
     [("report", c, 1, "--ours") for c in REPORT_CASES]
 
@@ -507,7 +526,7 @@ def _bad_checkpoint(case, color_ckpt, tmp_path):
 
 
 def _argv(kind, case, pipeline, tmp_path):
-    _, manifest, guided_ckpt, color_ckpt = pipeline
+    _, manifest, _, color_ckpt = pipeline
     out = ["--out", str(tmp_path / "o.json")]
     if kind == "checkpoint":
         return ["eval", "--model", _bad_checkpoint(case, color_ckpt, tmp_path),
@@ -541,37 +560,53 @@ def _argv(kind, case, pipeline, tmp_path):
                                                           "test")])
         return ["eval", "--model", color_ckpt, "--manifest", manifest] + out
     if kind == "report":
-        return ["report", "--ours=" + REPORT_CASES[case]] + out
+        return _command_argv("report", pipeline, tmp_path) + [
+            "--ours=" + REPORT_CASES[case]]
     if kind == "gen":
-        return ["gen-synth", "--count", "2", "--size", "16x16",
-                "--out-dir", str(tmp_path / "g")] + GEN_CASES[case][0] + out
+        return _command_argv("gen-synth", pipeline, tmp_path) + \
+            GEN_CASES[case][0]
     if kind == "output":
-        command, flag = OUTPUT_CASES[case]
-        path = str(tmp_path if case.endswith("_is_dir") else
-                   tmp_path / "missing" / "o.json")
-        extra = [flag, path]  # the last of a repeated flag wins
-        if command == "eval":
-            return ["eval", "--model", color_ckpt, "--manifest", manifest] + \
-                out + extra
-        if command == "predict":
-            return ["predict", "--model", color_ckpt,
-                    "--rgb", data.load_manifest(manifest)[0].rgb_path,
-                    "--depth-out", str(tmp_path / "d.pgm")] + out + extra
-        if command in ("gradcheck", "report"):
-            return [command] + out + extra
-        if command == "gen-synth":
-            return ["gen-synth", "--count", "2", "--size", "16x16",
-                    "--out-dir", str(tmp_path / "g")] + out + extra
-        stage = "guided"
-    elif kind == "guided":  # a color checkpoint as the frozen G
-        stage, extra, guided_ckpt = "color", [], color_ckpt
-    else:
-        stage, extra, _, _ = FLAG_CASES[case]
-    argv = ["train-" + stage, "--manifest", manifest, "--steps", "1",
+        command, flag, other = OUTPUT_CASES[case]
+        argv = _command_argv(command, pipeline, tmp_path)
+        if other is not None:  # spelled differently: paths are resolved
+            head, tail = os.path.split(argv[argv.index(other) + 1])
+            path = os.path.join(head, ".", tail)
+        elif case.endswith("_is_dir"):
+            path = str(tmp_path)
+        else:
+            path = str(tmp_path / "missing" / "o.json")
+        return argv + [flag, path]  # the last of a repeated flag wins
+    if kind == "seed":
+        return _command_argv(case, pipeline, tmp_path) + ["--seed", "-1"]
+    if kind == "guided":  # a color checkpoint as the frozen G
+        return _command_argv("train-color", pipeline, tmp_path,
+                             guided=color_ckpt)
+    stage, extra, _, _ = FLAG_CASES[case]
+    return _command_argv("train-" + stage, pipeline, tmp_path) + extra
+
+
+def _command_argv(command, pipeline, tmp_path, guided=None):
+    """A valid command line of each command, writing into tmp_path."""
+    _, manifest, guided_ckpt, color_ckpt = pipeline
+    out = ["--out", str(tmp_path / "o.json")]
+    if command == "eval":
+        return ["eval", "--model", color_ckpt, "--manifest", manifest] + out
+    if command == "predict":
+        return ["predict", "--model", color_ckpt,
+                "--rgb", data.load_manifest(manifest)[0].rgb_path,
+                "--depth-out", str(tmp_path / "d.pgm")] + out
+    if command in ("gradcheck", "report"):
+        return [command] + out
+    if command == "gen-synth":
+        return ["gen-synth", "--count", "2", "--size", "16x16",
+                "--out-dir", str(tmp_path / "g")] + out
+    argv = [command, "--manifest", manifest, "--steps", "1",
             "--batch-size", "1", "--base-width", "2",
             "--bottleneck-blocks", "1", "--size", "16x16",
-            "--ckpt-out", str(tmp_path / "t.ckpt")] + out + extra
-    return argv + (["--guided", guided_ckpt] if stage == "color" else [])
+            "--ckpt-out", str(tmp_path / "t.ckpt")] + out
+    if command == "train-color":
+        argv += ["--guided", guided or guided_ckpt]
+    return argv
 
 
 def _no_work(*args, **kwargs):
@@ -585,7 +620,7 @@ class TestMalformedInputs:
                              ids=["%s-%s" % row[:2] for row in TABLE])
     def test_exit_code(self, kind, case, code, fragment, pipeline, tmp_path,
                        capsys, monkeypatch):
-        if kind == "output":
+        if kind in ("output", "seed"):
             monkeypatch.setattr(training, "train_guided", _no_work)
             monkeypatch.setattr(training, "evaluate", _no_work)
             monkeypatch.setattr(network, "load_checkpoint", _no_work)
