@@ -386,13 +386,20 @@ def batch_norm2d(x, gamma, beta):
 
 
 # ---------------------------------------------------------------------------
-# bilinear resampling (half-pixel-centered sampling)
+# resampling at half-pixel-centered source coordinates
+
+def source_coordinates(n, tn):
+    """Where each of tn output pixels samples an axis of n source pixels:
+    its center in source pixel units, with half-pixel centers, clamped to
+    [0, n - 1]."""
+    return np.clip((np.arange(tn) + 0.5) * n / tn - 0.5, 0, n - 1)
+
 
 def resize_matrix(n, tn):
     """The (tn, n) matrix that resamples an axis of n pixels to tn pixels
-    bilinearly with half-pixel centers: row i weighs the two source
-    pixels nearest output pixel i's center, clamped to [0, n - 1]."""
-    src = np.clip((np.arange(tn) + 0.5) * n / tn - 0.5, 0, n - 1)
+    bilinearly: row i weighs the two source pixels around output pixel
+    i's source coordinate."""
+    src = source_coordinates(n, tn)
     i0 = np.floor(src).astype(np.intp)
     frac = src - i0
     u = np.zeros((tn, n))
@@ -431,29 +438,27 @@ def spatial_gradients(x):
     if x.data.ndim != 3:
         raise ShapeMismatchError("spatial_gradients: input must be CxHxW, "
                                  "got %s" % (x.shape,))
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h < 2 or w < 2:
         raise ShapeMismatchError("spatial_gradients: need H, W >= 2, got "
                                  "%dx%d" % (h, w))
+    return _forward_difference(x, 2), _forward_difference(x, 1)
 
-    hdiff = np.zeros((c, h, w), dtype=x.data.dtype)
-    hdiff[:, :, :-1] = x.data[:, :, 1:] - x.data[:, :, :-1]
-    vdiff = np.zeros((c, h, w), dtype=x.data.dtype)
-    vdiff[:, :-1, :] = x.data[:, 1:, :] - x.data[:, :-1, :]
 
-    def bwd_h(g):
-        dx = np.zeros((c, h, w), dtype=g.dtype)
-        dx[:, :, 1:] += g[:, :, :-1]
-        dx[:, :, :-1] -= g[:, :, :-1]
+def _forward_difference(x, axis):
+    """x[i + 1] - x[i] along axis, zero in its last slice."""
+    head = (slice(None),) * axis + (slice(None, -1),)
+    tail = (slice(None),) * axis + (slice(1, None),)
+    diff = np.zeros(x.shape, dtype=x.data.dtype)
+    diff[head] = x.data[tail] - x.data[head]
+
+    def bwd(g):
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        dx[tail] += g[head]
+        dx[head] -= g[head]
         _accum(x, dx)
 
-    def bwd_v(g):
-        dx = np.zeros((c, h, w), dtype=g.dtype)
-        dx[:, 1:, :] += g[:, :-1, :]
-        dx[:, :-1, :] -= g[:, :-1, :]
-        _accum(x, dx)
-
-    return _result(hdiff, (x,), bwd_h), _result(vdiff, (x,), bwd_v)
+    return _result(diff, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

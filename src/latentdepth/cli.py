@@ -80,10 +80,9 @@ def _build_parser():
         if stage == "color":
             p.add_argument("--guided", required=True,
                            help="frozen guided-network checkpoint")
-            p.add_argument("--w-data", type=float, default=1.0)
-            p.add_argument("--w-latent", type=float, default=1.0)
-            p.add_argument("--w-grad-image", type=float, default=1.0)
-            p.add_argument("--w-grad-feature", type=float, default=1.0)
+            for f in dataclasses.fields(losses.LossWeights):
+                p.add_argument("--w-" + f.name.replace("_", "-"), type=float,
+                               default=f.default)
 
     p = sub.add_parser("eval")
     p.add_argument("--model", required=True)
@@ -125,19 +124,21 @@ def _cmd_gen_synth(args):
                          % args.test_fraction)
     h, w = _parse_size(args.size)
     os.makedirs(args.out_dir, exist_ok=True)
-    _check_out_paths(args, "--out")  # after makedirs: --out may lie in it
-    records = []
     n_test = int(round(args.count * args.test_fraction))
-    for i in range(args.count):
-        sample = data.synth_scene(args.seed * 100003 + i, h, w, 2)
-        rgb_path = os.path.join(args.out_dir, "synth_%04d.ppm" % i)
-        depth_path = os.path.join(args.out_dir, "synth_%04d.pgm" % i)
-        data.save_rgbd_pair(sample, rgb_path, depth_path)
-        # each image is an independent seeded scene
-        records.append(data.ManifestRecord(
-            rgb_path, depth_path, scene_id="scene%04d" % i,
-            split="test" if i >= args.count - n_test else "train"))
+    # each image is an independent seeded scene
+    records = [data.ManifestRecord(
+        os.path.join(args.out_dir, "synth_%04d.ppm" % i),
+        os.path.join(args.out_dir, "synth_%04d.pgm" % i),
+        scene_id="scene%04d" % i,
+        split="test" if i >= args.count - n_test else "train")
+        for i in range(args.count)]
     manifest_path = os.path.join(args.out_dir, "manifest.json")
+    # after makedirs: --out may lie in it
+    _check_out_paths(args, "--out", owner="--out-dir",
+                     owned=[manifest_path, *_record_files(records)])
+    for i, rec in enumerate(records):
+        sample = data.synth_scene(args.seed * 100003 + i, h, w, 2)
+        data.save_rgbd_pair(sample, rec.rgb_path, rec.depth_path)
     data.save_manifest(manifest_path, records, relative_to=args.out_dir)
     result = {"count": args.count, "manifest": manifest_path,
               "size": [h, w], "seed": args.seed}
@@ -146,19 +147,26 @@ def _cmd_gen_synth(args):
     return 0
 
 
-def _load_samples(manifest_path, h, w, split):
-    """The split's samples, loaded as drawn; the manifest is read now."""
+def _load_samples(records, h, w, split):
+    """The split's samples, loaded as drawn."""
     return (data.load_rgbd_pair(rec.rgb_path, rec.depth_path, h, w)
-            for rec in data.load_manifest(manifest_path)
-            if split in ("all", rec.split))
+            for rec in records if split in ("all", rec.split))
 
 
-def _check_out_paths(args, *flags):
+def _record_files(records):
+    return [path for rec in records
+            for path in (rec.rgb_path, rec.depth_path)]
+
+
+def _check_out_paths(args, *flags, owner=None, owned=()):
     """Rejects, before any work, a directory or a path in a missing one,
-    and an output that names the file of an input or of another output."""
-    named = {os.path.realpath(path): flag
-             for flag in ("--model", "--guided", "--rgb", "--manifest")
-             if (path := getattr(args, flag[2:], None))}
+    and an output that names the file of an input, of another output or
+    one of owned, the files of the flag owner: the pairs its manifest
+    lists, or the files the command writes into its directory."""
+    named = dict.fromkeys(map(os.path.realpath, owned), owner)
+    named.update((os.path.realpath(path), flag)
+                 for flag in ("--model", "--guided", "--rgb", "--manifest")
+                 if (path := getattr(args, flag[2:], None)))
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if not path:
@@ -172,8 +180,17 @@ def _check_out_paths(args, *flags):
                              % (other, flag, path))
 
 
+def _read_manifest(args, *flags):
+    """The manifest's records, once the outputs in flags are checked
+    against them; read before any model is loaded or pair decoded."""
+    records = data.load_manifest(args.manifest)
+    _check_out_paths(args, *flags, owner="--manifest",
+                     owned=_record_files(records))
+    return records
+
+
 def _cmd_train(args):
-    _check_out_paths(args, "--ckpt-out", "--loss-csv", "--out")
+    records = _read_manifest(args, "--ckpt-out", "--loss-csv", "--out")
     stage = args.stage
     h, w = _parse_size(args.size)
     in_ch = 1 if stage == "guided" else 3
@@ -183,8 +200,8 @@ def _cmd_train(args):
     objective = {}
     if stage == "color":
         objective["weights"] = losses.LossWeights(
-            data=args.w_data, latent=args.w_latent,
-            grad_image=args.w_grad_image, grad_feature=args.w_grad_feature)
+            **{f.name: getattr(args, "w_" + f.name)
+               for f in dataclasses.fields(losses.LossWeights)})
     config = training.TrainConfig(
         stage=stage, net=net, steps=args.steps, batch_size=args.batch_size,
         learning_rate=args.lr, seed=args.seed,
@@ -192,7 +209,7 @@ def _cmd_train(args):
         **objective)
     if stage == "color":  # a bad checkpoint fails before the split is read
         guided = network.load_checkpoint(args.guided)
-    samples = list(_load_samples(args.manifest, h, w, split="train"))
+    samples = list(_load_samples(records, h, w, split="train"))
     if stage == "guided":
         model, history = training.train_guided(config, samples)
     else:
@@ -211,10 +228,10 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    _check_out_paths(args, "--out")
+    records = _read_manifest(args, "--out")
     model = network.load_checkpoint(args.model)
     result = training.evaluate(model, _load_samples(
-        args.manifest, model.config.input_h, model.config.input_w, args.split))
+        records, model.config.input_h, model.config.input_w, args.split))
     _write_json(args.out, dataclasses.asdict(result))
     print(result.summary())
     return 0

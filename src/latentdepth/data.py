@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import resample, resize_matrix
+from .autodiff import resample, resize_matrix, source_coordinates
 
 
 class DataError(ValueError):
@@ -153,11 +153,6 @@ def save_rgbd_pair(sample, rgb_path, depth_path):
 # ---------------------------------------------------------------------------
 # preprocessing
 
-def _nearest_indices(n, tn):
-    src = (np.arange(tn) + 0.5) * n / tn - 0.5
-    return np.clip(np.rint(src).astype(np.intp), 0, n - 1)
-
-
 def preprocess(rgb8, depth_mm, target_h, target_w):
     """A uint8 (H, W, 3) RGB frame and its uint16 (H, W) depth map in
     millimeters as an RgbdSample of target_h x target_w: RGB resized
@@ -172,8 +167,9 @@ def preprocess(rgb8, depth_mm, target_h, target_w):
     # the source rows and columns that hold a nonzero weight
     rows, cols = (np.flatnonzero(u.any(axis=0)) for u in (uh, uw))
     rgb = resample(_unit_rgb(rgb8[rows][:, cols]), uh[:, rows], uw[:, cols])
-    ri = _nearest_indices(h, target_h)
-    ci = _nearest_indices(w, target_w)
+    # the source pixel nearest each output pixel's source coordinate
+    ri, ci = (np.rint(source_coordinates(n, tn)).astype(np.intp)
+              for n, tn in ((h, target_h), (w, target_w)))
     depth_mm = depth_mm[ri][:, ci]
     return RgbdSample(rgb=rgb,
                       depth=depth_mm.astype(np.float64)[None] / 1000.0,

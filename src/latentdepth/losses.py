@@ -2,7 +2,7 @@
 and gradient-consistency terms at image and feature level."""
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,14 +31,11 @@ class LossWeights:
                              "positive")
 
 
-class LossReport(NamedTuple):
-    """Term values of one loss evaluation, the LossWeights fields then the
-    total; the field order is the loss CSV's column order."""
-    data: float
-    latent: float
-    grad_image: float
-    grad_feature: float
-    total: float
+# term values of one loss evaluation, the LossWeights fields then the
+# total; the field order is the loss CSV's column order
+LossReport = NamedTuple(
+    "LossReport",
+    [(f.name, float) for f in fields(LossWeights)] + [("total", float)])
 
 
 def data_loss(y, target, mask):

@@ -54,7 +54,20 @@ class NetworkConfig:
         return (8 * self.base_width, self.input_h // 16, self.input_w // 16)
 
 
-class Conv:
+class Module:
+    """A layer whose parameters are its Tensor attributes and those of its
+    Module attributes, in assignment order; items of a list or tuple are
+    never walked."""
+
+    def named_parameters(self, prefix):
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield prefix + "." + name, value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(prefix + "." + name)
+
+
+class Conv(Module):
     """Weights drawn in float64 from rng and stored in dtype, or zeros
     allocated in dtype when rng is None; zero biases."""
 
@@ -72,12 +85,8 @@ class Conv:
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias, self.stride)
 
-    def named(self, prefix):
-        return [(prefix + ".weight", self.weight),
-                (prefix + ".bias", self.bias)]
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-sample normalization with a learned per-channel affine map
     (see ad.batch_norm2d)."""
 
@@ -88,11 +97,8 @@ class BatchNorm:
     def __call__(self, x):
         return ad.batch_norm2d(x, self.gamma, self.beta)
 
-    def named(self, prefix):
-        return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
 
-
-class ResBlock:
+class ResBlock(Module):
     """Identity skip plus conv-BN-relu-conv-BN branch; no ReLU after the
     join, so a zeroed branch (zero convs: no rng) is an exact identity."""
 
@@ -106,24 +112,14 @@ class ResBlock:
         h = ad.relu(self.bn1(self.conv1(x)))
         return ad.add(x, self.bn2(self.conv2(h)))
 
-    def named(self, prefix):
-        return (self.conv1.named(prefix + ".conv1") +
-                self.bn1.named(prefix + ".bn1") +
-                self.conv2.named(prefix + ".conv2") +
-                self.bn2.named(prefix + ".bn2"))
 
-
-class _ConvBnRelu:
+class _ConvBnRelu(Module):
     def __init__(self, cout, cin, k, stride, rng, dtype):
         self.conv = Conv(cout, cin, k, stride, rng, dtype)
         self.bn = BatchNorm(cout, dtype)
 
     def __call__(self, x):
         return ad.relu(self.bn(self.conv(x)))
-
-    def named(self, prefix):
-        return (self.conv.named(prefix + ".conv") +
-                self.bn.named(prefix + ".bn"))
 
 
 class DepthModel:
@@ -149,7 +145,8 @@ class DepthModel:
         rng = None if seed is None else np.random.default_rng(seed)
         widths = config.stage_widths
         # (name, module) in construction order: the order of the random
-        # draws and of the checkpoint arrays
+        # draws and of the checkpoint arrays. The stage lists below hold
+        # the same modules, which a parameter walk never enters
         self._modules = []
 
         def add(name, module):
@@ -194,9 +191,10 @@ class DepthModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_tensors(self):
-        """Ordered (name, Tensor) pairs, the checkpoint layout."""
+        """Ordered (name, Tensor) pairs, the checkpoint layout: each named
+        module's parameters, prefixed with its name."""
         return [item for name, mod in self._modules
-                for item in mod.named(name)]
+                for item in mod.named_parameters(name)]
 
     def parameters(self):
         return [t for _, t in self.named_tensors()]

@@ -249,6 +249,17 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
 
+    def test_output_naming_a_record_leaves_it_as_it_was(self, tmp_path):
+        manifest, _ = _gen(tmp_path, count=2)
+        depth = data.load_manifest(manifest)[1].depth_path
+        before = open(depth, "rb").read()
+        rc = main(["train-guided", "--manifest", manifest, "--steps", "1",
+                   "--batch-size", "1", "--base-width", "2",
+                   "--bottleneck-blocks", "1", "--size", "16x16",
+                   "--ckpt-out", depth, "--out", str(tmp_path / "g.json")])
+        assert rc == 1
+        assert open(depth, "rb").read() == before
+
     def test_missing_manifest_is_runtime_error(self, tmp_path):
         from latentdepth.network import DepthModel, NetworkConfig, \
             save_checkpoint
@@ -485,6 +496,26 @@ OUTPUT_CASES = {
     "predict_out_is_rgb": ("predict", "--out", "--rgb"),
 }
 
+# an output that names a file the command writes into --out-dir or a
+# record of --manifest, in either split -> (command, flag, owner, file);
+# the pipeline's records 0-3 are in the train split, 4 and 5 in test
+MEMBER_CASES = {
+    "gen_out_is_manifest": ("gen-synth", "--out", "--out-dir",
+                            "manifest.json"),
+    "gen_out_is_pair_file": ("gen-synth", "--out", "--out-dir",
+                             "synth_0001.pgm"),
+    "train_ckpt_out_is_train_depth": ("train-guided", "--ckpt-out",
+                                      "--manifest", "synth_0001.pgm"),
+    "train_loss_csv_is_test_rgb": ("train-guided", "--loss-csv",
+                                   "--manifest", "synth_0005.ppm"),
+    "train_out_is_train_rgb": ("train-color", "--out", "--manifest",
+                               "synth_0000.ppm"),
+    "eval_out_is_train_depth": ("eval", "--out", "--manifest",
+                                "synth_0002.pgm"),
+    "eval_out_is_test_rgb": ("eval", "--out", "--manifest",
+                             "synth_0004.ppm"),
+}
+
 # gen-synth flags -> (extra argv, exit code, message fragment)
 GEN_CASES = {
     "test_fraction_nan": (["--test-fraction", "nan"], 1, "--test-fraction"),
@@ -514,6 +545,8 @@ TABLE = [("checkpoint", c, 2, CKPT_FRAGMENTS.get(c, "checkpoint"))
     [("output", c, 2, flag) if other is None else
      ("output", c, 1, "%s and %s" % (other, flag))
      for c, (_, flag, other) in OUTPUT_CASES.items()] + \
+    [("member", c, 1, "%s and %s" % (owner, flag))
+     for c, (_, flag, owner, _) in MEMBER_CASES.items()] + \
     [("seed", c, 1, "--seed") for c in SEED_COMMANDS] + \
     [("gen", c, code, frag) for c, (_, code, frag) in GEN_CASES.items()] + \
     [("report", c, 1, "--ours") for c in REPORT_CASES]
@@ -576,6 +609,13 @@ def _argv(kind, case, pipeline, tmp_path):
         else:
             path = str(tmp_path / "missing" / "o.json")
         return argv + [flag, path]  # the last of a repeated flag wins
+    if kind == "member":
+        command, flag, owner, name = MEMBER_CASES[case]
+        argv = _command_argv(command, pipeline, tmp_path)
+        owned = argv[argv.index(owner) + 1]
+        if owner == "--manifest":
+            owned = os.path.dirname(owned)
+        return argv + [flag, os.path.join(owned, ".", name)]
     if kind == "seed":
         return _command_argv(case, pipeline, tmp_path) + ["--seed", "-1"]
     if kind == "guided":  # a color checkpoint as the frozen G
@@ -620,7 +660,7 @@ class TestMalformedInputs:
                              ids=["%s-%s" % row[:2] for row in TABLE])
     def test_exit_code(self, kind, case, code, fragment, pipeline, tmp_path,
                        capsys, monkeypatch):
-        if kind in ("output", "seed"):
+        if kind in ("output", "member", "seed"):
             monkeypatch.setattr(training, "train_guided", _no_work)
             monkeypatch.setattr(training, "evaluate", _no_work)
             monkeypatch.setattr(network, "load_checkpoint", _no_work)

@@ -203,7 +203,11 @@ class TestPreprocess:
         rgb8, depth_mm = self._raw(h, w, seed=h + w)
         rgb = rgb8.astype(np.float64).transpose(2, 0, 1) / 255.0
         depth = depth_mm.astype(np.float64)[None] / 1000.0
-        ri, ci = data._nearest_indices(h, th), data._nearest_indices(w, tw)
+        # depth by nearest neighbor: the half-pixel source coordinate
+        # rounded half to even, then clamped to the frame
+        ri, ci = (np.clip(np.rint((np.arange(t) + 0.5) * n / t - 0.5)
+                          .astype(np.intp), 0, n - 1)
+                  for n, t in ((h, th), (w, tw)))
         out = preprocess(rgb8, depth_mm, th, tw)
         uh, uw = resize_matrix(h, th), resize_matrix(w, tw)
         rows, cols = (np.flatnonzero(u.any(axis=0)) for u in (uh, uw))
@@ -212,6 +216,25 @@ class TestPreprocess:
         np.testing.assert_array_max_ulp(out.rgb, resample(rgb, uh, uw), 1)
         assert out.depth.tobytes() == depth[:, ri][:, :, ci].tobytes()
         assert out.mask.tobytes() == (depth_mm > 0)[ri][:, ci].tobytes()
+
+    @pytest.mark.parametrize("n,tn", [(480, 32), (640, 32), (480, 240),
+                                      (75, 32)])
+    def test_depth_sampled_where_rgb_is(self, n, tn):
+        # each output pixel's depth comes from a source pixel that its
+        # RGB weighs, and not from the lighter of the two
+        u = resize_matrix(n, tn)
+        if n == 20 * tn:  # output pixel i sits at 20i + 9.5: a tie
+            assert (u.max(axis=1) == 0.5).all()
+        # depth in mm = source row + 1, along rows and then along columns
+        rows = np.tile(np.arange(1, n + 1, dtype=np.uint16)[:, None], (1, tn))
+        for depth_mm in (rows, rows.T):
+            out = preprocess(np.zeros(depth_mm.shape + (3,), np.uint8),
+                             depth_mm, tn, tn)
+            picked = np.rint(out.depth[0] * 1000).astype(np.intp) - 1
+            weight = np.take_along_axis(
+                u, picked if depth_mm is rows else picked.T, axis=1)
+            assert (weight > 0).all()
+            assert (weight == u.max(axis=1, keepdims=True)).all()
 
     def test_load_converts_only_what_the_resize_reads(self, tmp_path):
         # a 480x640 pair loaded at 32x32 peaks below one float64 copy of

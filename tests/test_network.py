@@ -124,6 +124,63 @@ class TestModelProperties:
         for p, (_, arr) in zip(params, items):
             assert p.data is arr
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_checkpoint_layout(self, channels):
+        # the (name, shape) list of a 16x16, width-2, one-block model,
+        # written out: a module's arrays in the order its constructor
+        # assigns them, the modules in construction order
+        def conv(name, cout, cin, k):
+            return [(name + ".weight", (cout, cin, k, k)),
+                    (name + ".bias", (cout,))]
+
+        def bn(name, c):
+            return [(name + ".gamma", (c,)), (name + ".beta", (c,))]
+
+        def head(name, cout, cin, k):
+            return conv(name + ".conv", cout, cin, k) + bn(name + ".bn", cout)
+
+        def block(name, c, k):
+            return (conv(name + ".conv1", c, c, k) + bn(name + ".bn1", c) +
+                    conv(name + ".conv2", c, c, k) + bn(name + ".bn2", c))
+
+        want = (head("enc0", 2, channels, 9) + block("enc0.block", 2, 9) +
+                head("enc1", 4, 2, 7) + block("enc1.block", 4, 7) +
+                head("enc2", 8, 4, 5) + block("enc2.block", 8, 5) +
+                head("enc3", 16, 8, 3) + block("enc3.block", 16, 3) +
+                head("enc_latent", 16, 16, 3) +
+                block("bottleneck0", 16, 3) +
+                head("dec0", 16, 16, 3) + block("dec0.block", 16, 3) +
+                head("dec1", 8, 16, 3) + block("dec1.block", 8, 5) +
+                head("dec2", 4, 8, 5) + block("dec2.block", 4, 7) +
+                head("dec3", 2, 4, 7) + block("dec3.block", 2, 9) +
+                conv("out", 1, 2, 9))
+        model = DepthModel(NetworkConfig(channels, 2, 1, 16, 16), seed=0)
+        assert [(n, a.shape) for n, a in model.state_items()] == want
+
+    def test_parameters_hold_every_reachable_tensor(self):
+        # a Tensor that the model reaches through any attribute, list or
+        # tuple is a parameter, listed once
+        seen, reached = set(), []
+
+        def walk(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                reached.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item)
+            elif type(obj).__module__ == DepthModel.__module__:
+                for value in vars(obj).values():
+                    walk(value)
+
+        model = DepthModel(DESK, seed=1)
+        walk(model)
+        params = model.parameters()
+        assert len({id(p) for p in params}) == len(params)
+        assert {id(t) for t in reached} == {id(p) for p in params}
+
     def test_seed_none_draws_nothing(self):
         model = DepthModel(DESK, seed=None)
         assert [p.shape for p in model.parameters()] == \
