@@ -10,6 +10,10 @@ resample applies: the upsample's forward and the data loader's resize
 multiply by the matrices, and the upsample's backward by their transposes.
 """
 
+import functools
+import itertools
+import os
+
 import numpy as np
 
 # a Tensor keeps the dtype of a float32 or float64 array and converts
@@ -168,7 +172,7 @@ def relu(a):
 # ---------------------------------------------------------------------------
 # convolution ("same" zero padding of (k-1)/2, stride 1 or 2)
 
-# a conv lowers its input in blocks of whole output rows, one at a time.
+# a conv lowers its input in blocks of whole output rows.
 # A backward block holds at most this many elements (16 MB of float32,
 # 32 MB of float64), or one output row where a row is larger; a forward
 # block is capped here too, which only the paper-scale network's widest
@@ -181,46 +185,142 @@ _PATCH_LIMIT = 1 << 22
 # the floor keeps 16 GEMM columns per output channel, since every GEMM
 # call re-packs the whole weight matrix
 _FORWARD_BLOCK = 1 << 17
+# the blocks of one lowering write disjoint output rows, so contiguous
+# runs of them run side by side, one run per worker (_worker_count), each
+# making the GEMM calls of a serial loop: the bits do not depend on the
+# worker count. A lowering with fewer blocks, or whose GEMMs make fewer
+# multiply-adds, runs inline, where handing runs over costs more than a
+# second core saves
+_POOL_BLOCKS = 8
+_POOL_MACS = 1 << 25
+# the variables, in the order OpenBLAS reads them, that set the threads
+# of one BLAS call
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+_pool = None
+
+
+def _worker_count():
+    """Threads a lowering's runs go to: the CPUs this process may run on
+    divided by the threads of one BLAS call, at least 1. Where no thread
+    variable is set the BLAS takes every core, and one worker remains."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    for var in _BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+def _worker_pool():
+    """The threads that run all runs of a split but the first, made at
+    first use. concurrent.futures is imported here, at the first split:
+    it pulls in logging, which a process that never splits a conv does
+    without."""
+    global _pool
+    import concurrent.futures
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(
+            max(1, _worker_count() - 1), thread_name_prefix="conv-blocks")
+    return _pool
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _runs(n, step, macs):
+    """The first rows of the blocks of n output rows, step rows each (the
+    last may be shorter), as contiguous runs of near-equal length, one
+    per worker; a single run of them all where there are fewer than
+    _POOL_BLOCKS or their GEMMs make fewer than _POOL_MACS multiply-adds
+    (macs)."""
+    starts = range(0, n, step)
+    if len(starts) < _POOL_BLOCKS or macs < _POOL_MACS:
+        return [starts]
+    k = min(len(starts), _worker_count())
+    return [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
+            for i in range(k)]
+
+
+def _run_side_by_side(work, runs):
+    """work(run) for every run: the first in the calling thread, the
+    others on the pool. Returns once every run has finished, then raises
+    the first exception any run raised."""
+    if len(runs) == 1:
+        return work(runs[0])
+    futures = [_worker_pool().submit(work, run) for run in runs[1:]]
+    try:
+        work(runs[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits, and raises nothing
+    for future in futures:
+        future.result()
 
 
 def _im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):
     """The patch matrix of the CxHxW array x, shifted by (top, left) into
-    a zero canvas that drops what lies past its far edges, in blocks:
-    yields (rows, cols) with rows a slice of the oh output rows and cols
-    the C*kh*kw x len(rows)*ow matrix of their windows, laid out as
-    (C, kh, kw, rows, ow). A block holds at most min(_PATCH_LIMIT,
-    max(_FORWARD_BLOCK, 16 * weight_size)) elements, or one output row.
+    a zero canvas that drops what lies past its far edges, in blocks of at
+    most min(_PATCH_LIMIT, max(_FORWARD_BLOCK, 16 * weight_size))
+    elements, or one output row. Returns the blocks as _runs, each an
+    iterator that yields (rows, cols) with rows a slice of the oh output
+    rows and cols the C*kh*kw x len(rows)*ow matrix of their windows,
+    laid out as (C, kh, kw, rows, ow).
 
-    Every block is written into one buffer: a yielded block is valid only
-    until the next one is requested."""
+    Each run writes its blocks into one buffer of its own, allocated
+    here, in the calling thread: a yielded block is valid only until its
+    run's next one is requested. The canvas is freed once every run has
+    copied its last block."""
     c, h, w = x.shape
     hc, wc = stride * (oh - 1) + kh, stride * (ow - 1) + kw
     xc = np.zeros((c, hc, wc), dtype=x.dtype)
     xc[:, top:top + h, left:left + w] = x[:, :hc - top, :wc - left]
-    e, k = xc.itemsize, c * kh * kw
+    k = c * kh * kw
     limit = min(_PATCH_LIMIT, max(_FORWARD_BLOCK, 16 * weight_size))
     step = min(oh, max(1, limit // (k * ow)))
-    buf = np.empty(k * step * ow, dtype=x.dtype)
-    for r0 in range(0, oh, step):
+    return [_im2col_run(xc, kh, kw, stride, oh, ow, step, run, np.empty(
+        k * min(step, oh - run[0]) * ow, dtype=x.dtype))
+        for run in _runs(oh, step, weight_size * oh * ow)]
+
+
+def _im2col_run(xc, kh, kw, stride, oh, ow, step, starts, buf):
+    c, hc, wc = xc.shape
+    e, k = xc.itemsize, c * kh * kw
+    for r0 in starts:
         rows = slice(r0, min(r0 + step, oh))
         n = rows.stop - r0
         cols = buf[:k * n * ow].reshape(c, kh, kw, n, ow)
         np.copyto(cols, np.ndarray(
-            (c, kh, kw, n, ow), x.dtype, xc, stride * r0 * wc * e,
+            (c, kh, kw, n, ow), xc.dtype, xc, stride * r0 * wc * e,
             (hc * wc * e, wc * e, e, stride * wc * e, stride * e)))
-        # free the canvas before the caller's last GEMM, so that a
-        # single-block conv holds only its patch matrix through it
-        if rows.stop == oh:
+        # drop this run's hold on the canvas before its last GEMM, so that
+        # a single-block conv holds only its patch matrix through it
+        if r0 == starts[-1]:
             del xc
         yield rows, cols.reshape(k, n * ow)
 
 
-def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
+def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row, macs):
     """Row-shared lowering (MEC, Cho & Brand 2017) of the CxHxW array x,
-    shifted by (top, left) into a zero canvas like _im2col's, in blocks:
-    yields (rows, v) with rows a slice of the oh output rows and v a
-    (len(rows), ow, kh*kw*C) view whose v[r] is the ow x kh*kw*C matrix of
-    output row rows.start + r's windows, laid out (kh, kw, C).
+    shifted by (top, left) into a zero canvas like _im2col's, in blocks.
+    Returns them as _runs, split by macs, the multiply-adds of the
+    caller's GEMMs over them; each run is an iterator that yields
+    (rows, v) with rows a slice of the oh output rows and v a
+    (len(rows), ow, kh*kw*C) view whose v[r] is the ow x kh*kw*C matrix
+    of output row rows.start + r's windows, laid out (kh, kw, C).
 
     Each block is one contiguous copy of, per output column, the kw*C
     wide strip of the canvas rows its output rows read: vertically
@@ -233,19 +333,25 @@ def _lower_rows(x, kh, kw, stride, top, left, oh, ow, per_row):
     xc = np.zeros((hc, wc, c), dtype=x.dtype)
     xc[top:top + h, left:left + w] = x[:, :hc - top, :wc - left].transpose(
         1, 2, 0)
-    strip, e = kw * c, xc.itemsize
-    step = max(1, min((_PATCH_LIMIT // (ow * strip) - kh) // stride + 1,
+    step = max(1, min((_PATCH_LIMIT // (ow * kw * c) - kh) // stride + 1,
                       _PATCH_LIMIT // per_row))
-    for r0 in range(0, oh, step):
+    return [_lower_rows_run(xc, kh, kw, stride, oh, ow, step, run)
+            for run in _runs(oh, step, macs)]
+
+
+def _lower_rows_run(xc, kh, kw, stride, oh, ow, step, starts):
+    hc, wc, c = xc.shape
+    strip, e = kw * c, xc.itemsize
+    for r0 in starts:
         rows = slice(r0, min(r0 + step, oh))
         n = rows.stop - r0
         span = stride * (n - 1) + kh
         low = np.ascontiguousarray(np.ndarray(
-            (ow, span, strip), x.dtype, xc, stride * r0 * wc * c * e,
+            (ow, span, strip), xc.dtype, xc, stride * r0 * wc * c * e,
             (stride * c * e, wc * c * e, e)))
-        if rows.stop == oh:  # as in _im2col
+        if r0 == starts[-1]:  # as in _im2col_run
             del xc
-        v = np.ndarray((n, ow, kh * strip), x.dtype, low, 0,
+        v = np.ndarray((n, ow, kh * strip), low.dtype, low, 0,
                        (stride * strip * e, span * strip * e, e))
         v.flags.writeable = False
         yield rows, v
@@ -273,13 +379,19 @@ def _conv_input_grad(g, weight, stride, h, w):
             # taps ordered (th, tw, C_out), as the lowered windows of g
             vmat = taps[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(
                 cin, -1)
-            phase = dx[:, rh::stride, rw::stride]
-            for rows, v in _lower_rows(
-                    g, th, tw, 1, th - 1 - (rh + ph) // stride,
-                    tw - 1 - (rw + pw) // stride, nh, nw, cin * nw):
-                phase[:, rows] = np.matmul(
-                    vmat, v.transpose(0, 2, 1)).transpose(1, 0, 2)
+            _run_side_by_side(
+                functools.partial(_phase_rows, vmat,
+                                  dx[:, rh::stride, rw::stride]),
+                _lower_rows(g, th, tw, 1, th - 1 - (rh + ph) // stride,
+                            tw - 1 - (rw + pw) // stride, nh, nw, cin * nw,
+                            vmat.size * nh * nw))
     return dx
+
+
+def _phase_rows(vmat, phase, blocks):
+    for rows, v in blocks:
+        phase[:, rows] = np.matmul(
+            vmat, v.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
 def conv2d(x, weight, bias, stride=1):
@@ -312,17 +424,24 @@ def conv2d(x, weight, bias, stride=1):
 
     wmat = weight.data.reshape(cout, -1)
     out = np.empty((cout, oh * ow), dtype=x.data.dtype)
-    for rows, cols in _im2col(x.data, kh, kw, stride, ph, pw, oh, ow,
-                              weight.size):
-        np.matmul(wmat, cols, out=out[:, rows.start * ow:rows.stop * ow])
+
+    def gemms(blocks):
+        for rows, cols in blocks:
+            np.matmul(wmat, cols, out=out[:, rows.start * ow:rows.stop * ow])
+
+    _run_side_by_side(gemms, _im2col(x.data, kh, kw, stride, ph, pw, oh, ow,
+                                     weight.size))
     out += bias.data[:, None]
 
     def bwd(g):
         if weight.requires_grad:
-            # the sum over output rows r of g[:, r] @ v[r], (co, kh, kw, ci)
+            # the sum over output rows r of g[:, r] @ v[r], (co, kh, kw, ci),
+            # in row order in this thread (macs 0: one run): its order fixes
+            # its bits
             dw = sum(np.matmul(g[:, rows].transpose(1, 0, 2), v).sum(axis=0)
-                     for rows, v in _lower_rows(x.data, kh, kw, stride, ph,
-                                                pw, oh, ow, weight.size))
+                     for rows, v in itertools.chain.from_iterable(
+                         _lower_rows(x.data, kh, kw, stride, ph, pw, oh, ow,
+                                     weight.size, 0)))
             _accum(weight,
                    dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if bias.requires_grad:

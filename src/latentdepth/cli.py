@@ -123,7 +123,6 @@ def _cmd_gen_synth(args):
         raise UsageError("--test-fraction must be in [0, 1], got %r"
                          % args.test_fraction)
     h, w = _parse_size(args.size)
-    os.makedirs(args.out_dir, exist_ok=True)
     n_test = int(round(args.count * args.test_fraction))
     # each image is an independent seeded scene
     records = [data.ManifestRecord(
@@ -133,9 +132,11 @@ def _cmd_gen_synth(args):
         split="test" if i >= args.count - n_test else "train")
         for i in range(args.count)]
     manifest_path = os.path.join(args.out_dir, "manifest.json")
-    # after makedirs: --out may lie in it
+    # before makedirs, so that a rejected --out leaves no --out-dir behind
     _check_out_paths(args, "--out", owner="--out-dir",
-                     owned=[manifest_path, *_record_files(records)])
+                     owned=[manifest_path, *_record_files(records)],
+                     new_dir=args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     for i, rec in enumerate(records):
         sample = data.synth_scene(args.seed * 100003 + i, h, w, 2)
         data.save_rgbd_pair(sample, rec.rgb_path, rec.depth_path)
@@ -158,23 +159,32 @@ def _record_files(records):
             for path in (rec.rgb_path, rec.depth_path)]
 
 
-def _check_out_paths(args, *flags, owner=None, owned=()):
+def _check_out_paths(args, *flags, owner=None, owned=(), new_dir=None):
     """Rejects, before any work, a directory or a path in a missing one,
-    and an output that names the file of an input, of another output or
-    one of owned, the files of the flag owner: the pairs its manifest
-    lists, or the files the command writes into its directory."""
+    counting new_dir and its parents, which the command makes, as
+    directories; and an output that names the file of an input, of
+    another output or one of owned, the files of the flag owner: the
+    pairs its manifest lists, or the files the command writes into its
+    directory."""
     named = dict.fromkeys(map(os.path.realpath, owned), owner)
     named.update((os.path.realpath(path), flag)
                  for flag in ("--model", "--guided", "--rgb", "--manifest")
                  if (path := getattr(args, flag[2:], None)))
+
+    def made(real):
+        return new_dir is not None and os.path.commonpath(
+            [real, os.path.realpath(new_dir)]) == real
+
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if not path:
             continue
-        if os.path.isdir(path) or \
-                not os.path.isdir(os.path.dirname(path) or "."):
+        real = os.path.realpath(path)
+        if os.path.isdir(path) or made(real) or not (
+                os.path.isdir(os.path.dirname(path) or ".") or
+                made(os.path.dirname(real))):
             raise OSError("%s: cannot write a file at %s" % (flag, path))
-        other = named.setdefault(os.path.realpath(path), flag)
+        other = named.setdefault(real, flag)
         if other != flag:
             raise UsageError("%s and %s name the same file %s"
                              % (other, flag, path))

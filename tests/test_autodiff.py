@@ -1,10 +1,16 @@
 import collections
+import concurrent.futures
+import itertools
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import latentdepth.autodiff as ad
-from latentdepth import verify
+from latentdepth import data, network, training, verify
 from latentdepth.autodiff import (GraphError, ShapeMismatchError, Tensor,
                                   backward, finite_diff_check)
 
@@ -18,6 +24,11 @@ def _extent(a):
     from its first to its last element."""
     return 1 + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) \
         // a.itemsize
+
+
+def _blocks(runs):
+    """The blocks of a lowering's runs, in order."""
+    return itertools.chain.from_iterable(runs)
 
 
 def _loop_patches(x, kh, kw, stride):
@@ -161,25 +172,35 @@ class TestConv2d:
         """Record a Block for every block _im2col (the forward) and
         _lower_rows (the backward) yield: the id of the source array, the
         rows, the elements of the block's windows and of one output row's,
-        and the elements of the block's GEMM results and of one row's."""
+        and the elements of the block's GEMM results and of one row's.
+        Blocks are recorded in the order they are built: one worker."""
         blocks = []
         real_im2col, real_lower = ad._im2col, ad._lower_rows
+        monkeypatch.setattr(ad, "_worker_count", lambda: 1)
+
+        def recorded(runs, block):
+            def run_of(run):
+                for rows, mat in run:
+                    blocks.append(block(rows, mat))
+                    yield rows, mat
+            return [run_of(run) for run in runs]
 
         def im2col(x, kh, kw, stride, top, left, oh, ow, weight_size):
-            for rows, cols in real_im2col(x, kh, kw, stride, top, left, oh,
-                                          ow, weight_size):
-                blocks.append(cls.Block("im2col", id(x), rows, cols.size,
-                                        x.shape[0] * kh * kw * ow, 0, 0))
-                yield rows, cols
+            return recorded(
+                real_im2col(x, kh, kw, stride, top, left, oh, ow,
+                            weight_size),
+                lambda rows, cols: cls.Block(
+                    "im2col", id(x), rows, cols.size,
+                    x.shape[0] * kh * kw * ow, 0, 0))
 
-        def lower(x, kh, kw, stride, top, left, oh, ow, per_row):
-            for rows, v in real_lower(x, kh, kw, stride, top, left, oh, ow,
-                                      per_row):
-                n = rows.stop - rows.start
-                blocks.append(cls.Block(
+        def lower(x, kh, kw, stride, top, left, oh, ow, per_row, macs):
+            return recorded(
+                real_lower(x, kh, kw, stride, top, left, oh, ow, per_row,
+                           macs),
+                lambda rows, v: cls.Block(
                     "lower", id(x), rows, _extent(v),
-                    x.shape[0] * kh * kw * ow, n * per_row, per_row))
-                yield rows, v
+                    x.shape[0] * kh * kw * ow,
+                    (rows.stop - rows.start) * per_row, per_row))
 
         monkeypatch.setattr(ad, "_im2col", im2col)
         monkeypatch.setattr(ad, "_lower_rows", lower)
@@ -234,8 +255,8 @@ class TestConv2d:
         for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
             monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
             blocks = []
-            for rows, cols in ad._im2col(x, kh, kw, stride, ph, pw, oh, ow,
-                                         1):
+            for rows, cols in _blocks(ad._im2col(x, kh, kw, stride, ph, pw,
+                                                 oh, ow, 1)):
                 assert cols.shape == (c * kh * kw,
                                       (rows.stop - rows.start) * ow)
                 assert cols.dtype == ref.dtype and cols.flags.c_contiguous
@@ -266,25 +287,28 @@ class TestConv2d:
         monkeypatch.setattr(ad, "_PATCH_LIMIT", patch)
         x = np.random.default_rng(2).standard_normal((2, 7, 8))
         blocks = [(rows, cols.copy())
-                  for rows, cols in ad._im2col(x, 3, 3, 1, 1, 1, 7, 8,
-                                               weight)]
+                  for rows, cols in _blocks(ad._im2col(x, 3, 3, 1, 1, 1, 7,
+                                                       8, weight))]
         assert [r.stop - r.start for r, _ in blocks] == heights
         cols = np.concatenate([cols for _, cols in blocks], axis=1)
         assert cols.tobytes() == _loop_patches(x, 3, 3, 1).tobytes()
 
     def test_conv_forward_blocks_share_one_buffer(self, monkeypatch):
         # conv2d passes its weights' size: 16 * (C_out * 18) elements are
-        # 2 * C_out rows of 144; every block is written into one buffer
+        # 2 * C_out rows of 144; at one worker every block is written into
+        # one buffer
         monkeypatch.setattr(ad, "_FORWARD_BLOCK", 1)
+        monkeypatch.setattr(ad, "_worker_count", lambda: 1)
         seen = []
         real = ad._im2col
 
-        def im2col(*args):
-            for rows, cols in real(*args):
+        def run_of(run):
+            for rows, cols in run:
                 seen.append((rows.stop - rows.start, cols))
                 yield rows, cols
 
-        monkeypatch.setattr(ad, "_im2col", im2col)
+        monkeypatch.setattr(ad, "_im2col",
+                            lambda *args: [run_of(r) for r in real(*args)])
         x = Tensor(np.random.default_rng(3).standard_normal((2, 7, 8)))
         for cout, heights in [(1, [2, 2, 2, 1]), (2, [4, 3])]:
             del seen[:]
@@ -310,8 +334,8 @@ class TestConv2d:
         # one block, then one block per output row
         for limit, step in [(ad._PATCH_LIMIT, oh), (1, 1)]:
             monkeypatch.setattr(ad, "_PATCH_LIMIT", limit)
-            blocks = list(ad._lower_rows(x, kh, kw, stride, ph, pw, oh, ow,
-                                         1))
+            blocks = list(_blocks(ad._lower_rows(x, kh, kw, stride, ph, pw,
+                                                 oh, ow, 1, 0)))
             assert [r for r, _ in blocks] == [
                 slice(r0, min(r0 + step, oh)) for r0 in range(0, oh, step)]
             for rows, v in blocks:
@@ -330,7 +354,8 @@ class TestConv2d:
         # corrupt its neighbours' windows
         monkeypatch.setattr(ad, "_PATCH_LIMIT", 64)
         x = np.ones((2, 7, 5))
-        blocks = list(ad._lower_rows(x, 3, 3, 1, 1, 1, 7, 5, 1))
+        blocks = list(_blocks(ad._lower_rows(x, 3, 3, 1, 1, 1, 7, 5, 1,
+                                             0)))
         assert len(blocks) > 1
         assert not any(v.flags.writeable for _, v in blocks)
 
@@ -453,6 +478,199 @@ class TestConv2d:
         out = ad.conv2d(tx, tw, tb, stride)
         backward(ad.reduce(ad.mul_const(out, g), "sum"))
         return out.data, tx.grad, tw.grad, tb.grad
+
+
+class _InlinePool:
+    """Stands in for the worker pool: runs each submitted run at once, in
+    the calling thread, and counts the submits."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestConvWorkers:
+    @staticmethod
+    def _workers(monkeypatch, n):
+        """n workers on a pool of their own, for convs of any work."""
+        monkeypatch.setattr(ad, "_worker_count", lambda: n)
+        monkeypatch.setattr(ad, "_pool", None)
+        monkeypatch.setattr(ad, "_POOL_MACS", 0)
+
+    # (C_in, C_out, H, W, k, stride, _FORWARD_BLOCK, _PATCH_LIMIT, parts
+    # that split into at least _POOL_BLOCKS blocks, the last of them
+    # shorter than the first)
+    SPLIT_CASES = [(4, 8, 31, 38, 9, 1, 1, 1 << 15, ("forward", "input")),
+                   (4, 4, 64, 64, 9, 1, 1 << 17, 1 << 22, ("forward",)),
+                   (3, 5, 45, 38, 7, 2, 1, 1 << 13, ("forward",)),
+                   (4, 8, 64, 64, 7, 2, 1, 1 << 12, ("input",))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,cout,h,w,k,stride,forward,patch,ragged",
+                             SPLIT_CASES)
+    def test_bits_do_not_depend_on_worker_count(
+            self, c, cout, h, w, k, stride, forward, patch, ragged, dtype,
+            monkeypatch):
+        monkeypatch.setattr(ad, "_FORWARD_BLOCK", forward)
+        monkeypatch.setattr(ad, "_PATCH_LIMIT", patch)
+        rng = np.random.default_rng(h * w + k)
+        x = rng.standard_normal((c, h, w)).astype(dtype)
+        wt = (rng.standard_normal((cout, c, k, k)) / k).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        g = rng.standard_normal((cout, -(-h // stride),
+                                 -(-w // stride))).astype(dtype)
+        # the block heights of every lowering, in the order conv2d makes
+        # them: the forward, the weight gradient's, one per input phase
+        heights = []
+        real_runs = ad._runs
+
+        def runs(n, step, macs):
+            starts = real_runs(n, step, macs)
+            heights.append([min(step, n - r0) for run in starts
+                            for r0 in run])
+            return starts
+
+        monkeypatch.setattr(ad, "_runs", runs)
+        results = []
+        for n in (1, 2, 3):
+            self._workers(monkeypatch, n)
+            del heights[:]
+            results.append([a.tobytes() for a in TestConv2d._conv_and_grads(
+                x, wt, b, stride, g)])
+        parts = {"forward": heights[:1], "input": heights[2:]}
+        for part in ragged:
+            assert any(len(hs) >= ad._POOL_BLOCKS and hs[-1] < hs[0]
+                       for hs in parts[part])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # six runs on three threads besides the caller's, switching the
+        # interpreter lock as often as it can: a run that wrote past its
+        # rows or shared another's buffer would change some bits
+        c, cout, h, w, k, stride, forward, patch, _ = self.SPLIT_CASES[0]
+        monkeypatch.setattr(ad, "_FORWARD_BLOCK", forward)
+        monkeypatch.setattr(ad, "_PATCH_LIMIT", patch)
+        rng = np.random.default_rng(8)
+        x, wt = rng.standard_normal((c, h, w)), rng.standard_normal(
+            (cout, c, k, k))
+        g = rng.standard_normal((cout, h, w))
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for n in (1, 6):
+                self._workers(monkeypatch, n)
+                for _ in range(5):
+                    results.append([a.tobytes() for a in
+                                    TestConv2d._conv_and_grads(
+                                        x, wt, np.zeros(cout), stride, g)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == results[0] for r in results[1:])
+
+    # a 2->3 3x3 conv of an h x 5 map makes 3 * 18 * h * 5 multiply-adds
+    # in the forward and as many in the input gradient
+    @pytest.mark.parametrize("h,floor,submits", [
+        (7, 0, 0), (8, 0, 1), (8, 2160, 1), (8, 2161, 0)])
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_fewer_blocks_or_macs_run_inline(self, h, floor, submits,
+                                             input_grad, monkeypatch):
+        # one output row per block: h blocks in the forward, the weight
+        # gradient and the input gradient; only the weight gradient never
+        # splits, whatever its block count
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(ad, "_POOL_MACS", floor)
+        pool = _InlinePool()
+        monkeypatch.setattr(ad, "_worker_pool", lambda: pool)
+        monkeypatch.setattr(ad, "_FORWARD_BLOCK", 1)
+        monkeypatch.setattr(ad, "_PATCH_LIMIT", 1)
+        x = Tensor(np.ones((2, h, 5)), requires_grad=input_grad)
+        w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+        backward(ad.reduce(ad.conv2d(x, w, Tensor(np.zeros(3)), 1), "sum"))
+        assert pool.submits == submits * (1 + input_grad)
+
+    def test_gate_shape_convs_run_inline(self, monkeypatch):
+        # every conv of a guided and a color training step at the
+        # acceptance gate's 32x32, width 4, forward and backward
+        self._workers(monkeypatch, 2)
+        pool = _InlinePool()
+        monkeypatch.setattr(ad, "_worker_pool", lambda: pool)
+        calls = []
+        real = ad.conv2d
+        monkeypatch.setattr(ad, "conv2d",
+                            lambda *a: calls.append(1) or real(*a))
+        samples = [data.synth_scene(i, 32, 32, 2) for i in range(2)]
+        nets = {stage: network.NetworkConfig(
+            input_channels=ch, base_width=4, bottleneck_blocks=6,
+            input_h=32, input_w=32) for stage, ch in (("guided", 1),
+                                                      ("color", 3))}
+        guided, _ = training.train_guided(training.TrainConfig(
+            stage="guided", net=nets["guided"], steps=1, batch_size=2),
+            samples)
+        training.train_color(training.TrainConfig(
+            stage="color", net=nets["color"], steps=1, batch_size=2),
+            samples, guided)
+        assert len(calls) > 100 and pool.submits == 0
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_error_raised_after_every_run_returns(self, bad, monkeypatch):
+        # 11 forward blocks in three runs; run 0 is the caller's own
+        self._workers(monkeypatch, 3)
+        returned = []
+        real = ad._im2col
+
+        def run_of(i, run):
+            for block in run:
+                if i == bad:
+                    raise RuntimeError("run %d failed" % i)
+                time.sleep(0.05)
+                yield block
+            returned.append(i)
+
+        monkeypatch.setattr(ad, "_im2col", lambda *args: [
+            run_of(i, run) for i, run in enumerate(real(*args))])
+        x = Tensor(np.ones((4, 64, 64), np.float32))
+        w = Tensor(np.ones((4, 4, 9, 9), np.float32))
+        with pytest.raises(RuntimeError, match="run %d failed" % bad):
+            ad.conv2d(x, w, Tensor(np.zeros(4, np.float32)), 1)
+        assert sorted(returned) == [i for i in range(3) if i != bad]
+
+    def test_forked_child_runs_split_convs(self, monkeypatch):
+        self._workers(monkeypatch, 2)
+        x = Tensor(np.random.default_rng(5).standard_normal((4, 64, 64)),
+                   requires_grad=True)
+        w = Tensor(np.ones((4, 4, 9, 9)) / 81)
+        b = Tensor(np.zeros(4))
+        # the pool has threads, which a forked child does not inherit
+        expected = ad.conv2d(x, w, b, 1).data.tobytes()
+        assert ad._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child: never returns into pytest
+            code = 1
+            try:
+                out = ad.conv2d(x, w, b, 1)
+                backward(ad.reduce(out, "sum"))
+                code = 0 if out.data.tobytes() == expected else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
 
 
 class TestBatchNorm:

@@ -222,6 +222,36 @@ class TestTrainEvalPredict:
                          else color_ckpt]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or
+                    len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: a conv's blocks never split")
+def test_predict_bits_do_not_depend_on_cpus(tmp_path):
+    # at one BLAS thread, a process that may run on every CPU splits the
+    # 128x128 width-16 model's wide convs over them; one pinned to a
+    # single CPU runs every block inline
+    config = network.NetworkConfig(3, base_width=16, bottleneck_blocks=6,
+                                   input_h=128, input_w=128)
+    ckpt = str(tmp_path / "large.ckpt")
+    save_checkpoint(network.DepthModel(config, seed=3), ckpt)
+    rgb = str(tmp_path / "in.ppm")
+    data.save_rgbd_pair(data.synth_scene(3, 128, 128, 2), rgb,
+                        str(tmp_path / "in.pgm"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    one_cpu = min(os.sched_getaffinity(0))
+    maps = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {one_cpu})):
+        depth = str(tmp_path / ("d%d.pgm" % len(maps)))
+        subprocess.run(
+            [sys.executable, "-m", "latentdepth.cli", "predict", "--model",
+             ckpt, "--rgb", rgb, "--depth-out", depth,
+             "--out", str(tmp_path / "o.json")],
+            env=env, preexec_fn=pin, check=True, capture_output=True,
+            timeout=300)
+        maps.append(open(depth, "rb").read())
+    assert maps[0] == maps[1]
+
+
 class TestErrorPaths:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
@@ -481,6 +511,7 @@ OUTPUT_CASES = {
     "predict_depth_out_is_dir": ("predict", "--depth-out", None),
     "gradcheck_out_missing_dir": ("gradcheck", "--out", None),
     "gen_out_missing_dir": ("gen-synth", "--out", None),
+    "gen_out_is_out_dir": ("gen-synth", "--out", None),
     "report_out_missing_dir": ("report", "--out", None),
     "train_out_is_ckpt_out": ("train-guided", "--out", "--ckpt-out"),
     "train_loss_csv_is_ckpt_out": ("train-guided", "--loss-csv",
@@ -606,6 +637,8 @@ def _argv(kind, case, pipeline, tmp_path):
             path = os.path.join(head, ".", tail)
         elif case.endswith("_is_dir"):
             path = str(tmp_path)
+        elif case.endswith("_is_out_dir"):
+            path = argv[argv.index("--out-dir") + 1]
         else:
             path = str(tmp_path / "missing" / "o.json")
         return argv + [flag, path]  # the last of a repeated flag wins
@@ -671,6 +704,7 @@ class TestMalformedInputs:
         assert main(_argv(kind, case, pipeline, tmp_path)) == code
         assert not list(tmp_path.glob("o.json*"))
         assert not (tmp_path / "d.pgm").exists()
+        assert not (tmp_path / "g").exists()  # gen-synth's --out-dir
         err = capsys.readouterr().err
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert fragment in err and err.count("\n") == 1
